@@ -30,6 +30,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
     TooManyOutcomesError,
+    check_count,
 )
 from .shots import binomial_distribution, log_binomial_pmf, log_likelihood_ratio, sample_means
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
@@ -85,16 +86,19 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
 def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     """Smallest valid delta for the exact mechanism at privacy level eps.
 
-    Sums the positive parts of P0(k) - e^eps P1(k) over all outcomes.
-    Decreasing in eps; at eps = 0 it is the total-variation distance.
+    Sums the positive parts of P0(k) - e^eps P1(k) over all outcomes, each
+    written as P0(k) (1 - e^(eps - llr(k))) with llr = log P0 - log P1 taken
+    from the log pmfs: a term is positive exactly where llr(k) > eps, and no
+    term needs e^eps or a probability that has underflowed to 0.0. Decreasing
+    in eps; at eps = 0 it is the total-variation distance. Both means must
+    lie strictly inside (0, 1).
     """
     if not eps >= 0.0:
         raise OutOfRangeError(f"OutOfRange: eps={eps} must be nonnegative")
-    p0 = binomial_distribution(mu0, n).probs
-    p1 = binomial_distribution(mu1, n).probs
-    with np.errstate(over="ignore", invalid="ignore"):
-        gap = p0 - math.exp(eps) * p1 if eps < 700 else np.where(p1 > 0.0, -np.inf, p0)
-    return float(np.sum(np.clip(gap, 0.0, None)))
+    log_p0 = log_binomial_pmf(mu0, n)
+    llr = log_p0 - log_binomial_pmf(mu1, n)
+    over = llr > eps
+    return float(np.sum(np.exp(log_p0[over]) * -np.expm1(eps - llr[over])))
 
 
 def min_expectation(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, m: Projector) -> MinExpectation:
@@ -187,8 +191,6 @@ def dominance_audit(
             raise PreconditionViolatedError(f"PreconditionViolated: gap {mu0 - mu1} exceeds d*r = {d * r}")
         report = epsilon_noiseless(BudgetInputs(d=d, r=r, n=n, mu=mu1))
     elif regime == "depolarizing":
-        if p is None or dim is None:
-            raise BadConfigError("BadConfig: depolarizing audit needs both p and dim")
         bound = expectation_ratio_bound(mu1, d, p, dim)
         if mu0 > bound + _EQ_SLACK:
             raise PreconditionViolatedError(f"PreconditionViolated: mu0={mu0} exceeds ratio bound {bound:.12g}")
@@ -269,8 +271,7 @@ def monte_carlo_audit(
     Deterministic given `seed`: the two sampling streams are derived from
     it, so reruns reproduce every empirical number bit-for-bit.
     """
-    if trials < 1000:
-        raise OutOfRangeError(f"OutOfRange: trials={trials} below the minimum 1000")
+    trials = check_count(trials, "trials", minimum=1000)
     exact_eps = exact_epsilon(mu0, mu1, n)
     level = exact_eps if eps is None else float(eps)
     exact_delta = hockey_stick_delta(mu0, mu1, n, max(level, 0.0))
@@ -298,7 +299,7 @@ def monte_carlo_audit(
         dominated=dominated,
         flags=(),
         excluded_outcomes=excluded,
-        trials=int(trials),
+        trials=trials,
         seed=int(seed),
         details={
             "empirical_p0": emp0.tolist(),

@@ -19,23 +19,36 @@ from __future__ import annotations
 import math
 import warnings as _warnings
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 from .errors import (
     BadConfigError,
-    DegenerateMuError,
     DeltaOutOfRangeError,
     OutOfRangeError,
     UnattainableError,
-    ZeroNoiseError,
+    check_count,
+    check_convention,
+    check_cutoff,
+    check_delta,
+    check_distance,
+    check_mean,
+    check_noise,
 )
 
 erfc = math.erfc
 """Complementary error function (absolute error well under 1e-7 for |x| <= 6)."""
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_normal_quantile = NormalDist().inv_cdf
+
 
 @dataclass(frozen=True)
 class BudgetInputs:
     """Parameter bundle shared by the budget formulas.
+
+    Every field is checked on construction by its validator in `errors`.
+    Counts are stored as `int`: an integral float such as 10.0 is
+    converted, and a bool is rejected.
 
     Attributes
     ----------
@@ -52,12 +65,9 @@ class BudgetInputs:
     D : int, optional
         System dimension, at least 1; required by the noisy budgets.
     c : float, optional
-        Positive tail cutoff for the (epsilon, delta) budgets.
+        Positive, finite tail cutoff for the (epsilon, delta) budgets.
     delta : float, optional
-        Positive tail mass; alternative to `c` (supply exactly one).
-    beta : float
-        Confidence level the 3-sigma constants correspond to. Stored for
-        provenance; the constants 9/2, 3/2, 3 are fixed.
+        Positive, finite tail mass; alternative to `c` (supply exactly one).
     """
 
     d: float
@@ -68,32 +78,20 @@ class BudgetInputs:
     D: int | None = None
     c: float | None = None
     delta: float | None = None
-    beta: float = 0.997
 
     def __post_init__(self):
-        if not 0.0 <= self.d <= 1.0:
-            raise OutOfRangeError(f"OutOfRange: distance d={self.d} outside [0, 1]")
-        if int(self.r) != self.r or self.r < 1:
-            raise OutOfRangeError(f"OutOfRange: rank r={self.r!r} must be a positive integer")
-        if int(self.n) != self.n or self.n < 1:
-            raise OutOfRangeError(f"OutOfRange: shots n={self.n!r} must be a positive integer")
-        if not 0.0 <= self.mu <= 1.0:
-            raise OutOfRangeError(f"OutOfRange: mean mu={self.mu} outside [0, 1]")
-        if self.mu == 0.0 or self.mu == 1.0:
-            raise DegenerateMuError(f"DegenerateMu: mean mu={self.mu} leaves zero variance")
+        check_distance(self.d)
+        object.__setattr__(self, "r", check_count(self.r, "rank r"))
+        object.__setattr__(self, "n", check_count(self.n, "shots n"))
+        check_mean(self.mu)
         if self.p is not None:
-            if self.p == 0.0:
-                raise ZeroNoiseError("ZeroNoise: depolarizing probability 0 gives an unbounded constant")
-            if not 0.0 < self.p <= 1.0:
-                raise OutOfRangeError(f"OutOfRange: depolarizing probability p={self.p} outside (0, 1]")
-        if self.D is not None and (int(self.D) != self.D or self.D < 1):
-            raise OutOfRangeError(f"OutOfRange: dimension D={self.D!r} must be a positive integer")
-        if self.c is not None and not self.c > 0.0:
-            raise OutOfRangeError(f"OutOfRange: cutoff c={self.c} must be positive")
-        if self.delta is not None and not self.delta > 0.0:
-            raise OutOfRangeError(f"OutOfRange: delta={self.delta} must be positive")
-        if not 0.0 < self.beta < 1.0:
-            raise OutOfRangeError(f"OutOfRange: beta={self.beta} outside (0, 1)")
+            check_noise(self.p)
+        if self.D is not None:
+            object.__setattr__(self, "D", check_count(self.D, "dimension D"))
+        if self.c is not None:
+            check_cutoff(self.c)
+        if self.delta is not None:
+            check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -123,33 +121,27 @@ def depolarizing_constant(p: float, d: float, r: int, dim: int) -> float:
 
     Grows without bound as p -> 0+, so p = 0 is rejected as ZeroNoise.
     """
-    if p == 0.0:
-        raise ZeroNoiseError("ZeroNoise: depolarizing probability 0 gives an unbounded constant")
-    if not 0.0 < p <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: depolarizing probability p={p} outside (0, 1]")
-    if not 0.0 <= d <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: distance d={d} outside [0, 1]")
-    if int(r) != r or r < 1:
-        raise OutOfRangeError(f"OutOfRange: rank r={r!r} must be a positive integer")
-    if int(dim) != dim or dim < 1:
-        raise OutOfRangeError(f"OutOfRange: dimension {dim!r} must be a positive integer")
+    if p is None or dim is None:
+        raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
+    check_noise(p)
+    check_distance(d)
+    r = check_count(r, "rank r")
+    dim = check_count(dim, "dimension D")
     return ((1.0 - p) / p) * d * r * dim
 
 
 def expectation_ratio_bound(mu1: float, d: float, p: float, dim: int) -> float:
     """Largest mean mu1 (1 + ((1-p)/p) d dim) reachable from a state with
     mean mu1 by moving trace distance d under depolarizing noise p."""
-    if not 0.0 < mu1 < 1.0:
-        raise DegenerateMuError(f"DegenerateMu: mean mu1={mu1} outside (0, 1)")
-    if p == 0.0:
-        raise ZeroNoiseError("ZeroNoise: depolarizing probability 0 gives an unbounded ratio")
-    if not 0.0 < p <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: depolarizing probability p={p} outside (0, 1]")
-    if not 0.0 <= d <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: distance d={d} outside [0, 1]")
-    if int(dim) != dim or dim < 1:
-        raise OutOfRangeError(f"OutOfRange: dimension {dim!r} must be a positive integer")
-    return mu1 * (1.0 + ((1.0 - p) / p) * d * dim)
+    return check_mean(mu1, "mean mu1") * (1.0 + depolarizing_constant(p, d, 1, dim))
+
+
+def _pure_report(inp: BudgetInputs, scale: float, quadratic: float) -> PrivacyReport:
+    """Shared pure budget scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ]."""
+    mu = inp.mu
+    eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(inp.n) + quadratic * inp.n / (1.0 - mu))
+    flags = ["RegimeNegativeTerm"] if mu > 0.5 else []
+    return PrivacyReport(epsilon=eps, delta=0.0, warnings=_value_flags(eps, flags), inputs=inp)
 
 
 def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
@@ -162,11 +154,7 @@ def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
     that regime rather than adjusting the value.
     """
     dr = inp.d * inp.r
-    mu = inp.mu
-    bracket = 4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(inp.n) + dr * (mu + dr) * inp.n / (1.0 - mu)
-    eps = (dr / ((1.0 - mu) * mu)) * bracket
-    flags = ["RegimeNegativeTerm"] if mu > 0.5 else []
-    return PrivacyReport(epsilon=eps, delta=0.0, warnings=_value_flags(eps, flags), inputs=inp)
+    return _pure_report(inp, dr / ((1.0 - inp.mu) * inp.mu), dr * (inp.mu + dr))
 
 
 def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
@@ -177,14 +165,19 @@ def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
         eps = (a / (1-mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
                              + a mu^2 (1+a) n / (1-mu) ]
     """
-    if inp.p is None or inp.D is None:
-        raise BadConfigError("BadConfig: depolarizing budget needs both p and D")
     a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-    mu = inp.mu
-    bracket = 4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(inp.n) + a * mu * mu * (1.0 + a) * inp.n / (1.0 - mu)
-    eps = (a / (1.0 - mu)) * bracket
-    flags = ["RegimeNegativeTerm"] if mu > 0.5 else []
-    return PrivacyReport(epsilon=eps, delta=0.0, warnings=_value_flags(eps, flags), inputs=inp)
+    return _pure_report(inp, a / (1.0 - inp.mu), a * inp.mu * inp.mu * (1.0 + a))
+
+
+def _sigma(mu: float, n: int) -> float:
+    """Standard deviation sqrt(mu(1-mu)/n) of the n-shot sample mean."""
+    return math.sqrt(mu * (1.0 - mu) / n)
+
+
+def _tail_mass(c: float, sigma: float, paper: bool) -> float:
+    """delta_from_c on validated inputs, without the DeltaExceedsOne warning."""
+    tail = math.erfc(c / (math.sqrt(2.0) * sigma))
+    return _SQRT_2PI * sigma * tail if paper else tail
 
 
 def delta_from_c(c: float, mu: float, n: int, convention: str = "paper") -> float:
@@ -198,78 +191,65 @@ def delta_from_c(c: float, mu: float, n: int, convention: str = "paper") -> floa
     The paper convention scales the two-sided tail by the kernel's
     unnormalized height and can exceed 1; a RuntimeWarning named
     DeltaExceedsOne is emitted in that case and the value is returned
-    as computed.
+    as computed. Past about 38 sigma the tail underflows to 0.0.
     """
-    if not c > 0.0:
-        raise OutOfRangeError(f"OutOfRange: cutoff c={c} must be positive")
-    if not 0.0 < mu < 1.0:
-        raise DegenerateMuError(f"DegenerateMu: mean mu={mu} outside (0, 1)")
-    if int(n) != n or n < 1:
-        raise OutOfRangeError(f"OutOfRange: shots n={n!r} must be a positive integer")
-    if convention not in ("paper", "normalized"):
-        raise BadConfigError(f"BadConfig: unknown convention {convention!r}")
-    sigma = math.sqrt(mu * (1.0 - mu) / n)
-    tail = erfc(c / (math.sqrt(2.0) * sigma))
-    value = math.sqrt(2.0 * math.pi) * sigma * tail if convention == "paper" else tail
+    check_cutoff(c)
+    mu = check_mean(mu)
+    n = check_count(n, "shots n")
+    value = _tail_mass(c, _sigma(mu, n), check_convention(convention))
     if value > 1.0:
         _warnings.warn(f"DeltaExceedsOne: delta={value:.6g} under the {convention} convention", RuntimeWarning, stacklevel=2)
     return value
 
 
 def c_from_delta(delta: float, mu: float, n: int, convention: str = "paper") -> float:
-    """Invert delta_from_c by bisection on the strictly decreasing tail.
+    """Invert delta_from_c in closed form through the normal quantile.
 
-    Converges until the recomputed delta matches the target to 1e-10
-    relative. Targets at or above the c -> 0 limit (sqrt(2 pi) sigma in the
-    paper convention, 1 normalized) or at or below 0 raise
-    DeltaOutOfRangeError.
+    Since erfc(x) = 2 Phi(-sqrt(2) x), the cutoff is
+
+        paper       c = -sigma Phi^-1(delta / (2 sqrt(2 pi) sigma))
+        normalized  c = -sigma Phi^-1(delta / 2)
+
+    with Phi^-1 from `statistics.NormalDist`; c stays within 1e-13 relative
+    of a 40-digit reference for delta down to 1e-300. Targets at or above
+    the c -> 0 limit (sqrt(2 pi) sigma in the paper convention, 1
+    normalized), at or below 0, or so small that the quantile argument
+    underflows to 0 raise DeltaOutOfRangeError.
     """
-    if not 0.0 < mu < 1.0:
-        raise DegenerateMuError(f"DegenerateMu: mean mu={mu} outside (0, 1)")
-    if int(n) != n or n < 1:
-        raise OutOfRangeError(f"OutOfRange: shots n={n!r} must be a positive integer")
-    if convention not in ("paper", "normalized"):
-        raise BadConfigError(f"BadConfig: unknown convention {convention!r}")
-    sigma = math.sqrt(mu * (1.0 - mu) / n)
-    supremum = math.sqrt(2.0 * math.pi) * sigma if convention == "paper" else 1.0
-    if not 0.0 < delta < supremum:
-        raise DeltaOutOfRangeError(f"DeltaOutOfRange: delta={delta} not inside (0, {supremum:.12g})")
-
-    def tail(c):
-        base = erfc(c / (math.sqrt(2.0) * sigma))
-        return math.sqrt(2.0 * math.pi) * sigma * base if convention == "paper" else base
-
-    lo = 0.0
-    hi = sigma
-    while tail(hi) > delta:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = tail(mid)
-        if abs(value - delta) <= 1e-10 * delta:
-            return mid
-        if value > delta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-300:
-            break
-    return 0.5 * (lo + hi)
+    mu = check_mean(mu)
+    n = check_count(n, "shots n")
+    paper = check_convention(convention)
+    sigma = _sigma(mu, n)
+    supremum = _SQRT_2PI * sigma if paper else 1.0
+    check_delta(delta, supremum)
+    # delta / supremum rounds below 1, so the argument stays below 1/2 and c > 0.
+    quantile = 0.5 * (delta / supremum)
+    if quantile == 0.0:
+        raise DeltaOutOfRangeError(f"DeltaOutOfRange: delta={delta} is too small to invert in double precision")
+    return -sigma * _normal_quantile(quantile)
 
 
-def _tail_budget(scale: float, shots_times_scale: float, mu: float, c: float) -> tuple[float, list[str]]:
-    """Shared (epsilon, delta) bracket: prefactor `scale`, pole at 1-mu-u."""
-    u = shots_times_scale
+def _tail_report(inp: BudgetInputs, convention: str, scale: float, u: float) -> PrivacyReport:
+    """Shared (epsilon, delta) budget: prefactor `scale`, pole at 1 - mu - u,
+    with the one supplied tail parameter turned into the (c, delta) pair."""
+    if (inp.c is None) == (inp.delta is None):
+        raise BadConfigError("BadConfig: supply exactly one of c and delta")
+    mu = inp.mu
+    if inp.c is not None:
+        c = inp.c
+        delta = _tail_mass(c, _sigma(mu, inp.n), check_convention(convention))
+    else:
+        delta = inp.delta
+        c = c_from_delta(delta, mu, inp.n, convention)
+    flags = ["DeltaExceedsOne"] if delta > 1.0 else ["DeltaUnderflow"] if delta == 0.0 else []
     denom = 1.0 - mu - u
-    flags = []
     if denom <= 0.0:
         flags.append("RegimeInvalid")
     if denom == 0.0:
         eps = float("-inf") if scale > 0.0 else 0.0
     else:
-        bracket = (1.0 - 2.0 * mu - u) * c * c / (2.0 * mu * denom) + c + u / 2.0
-        eps = scale * bracket
-    return eps, flags
+        eps = scale * ((1.0 - 2.0 * mu - u) * c * c / (2.0 * mu * denom) + c + u / 2.0)
+    return PrivacyReport(epsilon=eps, delta=float(delta), warnings=_value_flags(eps, flags), inputs=replace(inp, c=c))
 
 
 def epsilon_delta_noiseless(inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
@@ -280,14 +260,13 @@ def epsilon_delta_noiseless(inp: BudgetInputs, convention: str = "paper") -> Pri
 
     Supply exactly one of `c` and `delta`; the other is derived through the
     Gaussian tail formula. The report flags RegimeInvalid once n d r
-    reaches 1 - mu (the bracket's pole) and DeltaExceedsOne when the paper
-    convention pushes delta past 1; values are returned as computed.
+    reaches 1 - mu (the bracket's pole), DeltaExceedsOne when the paper
+    convention pushes delta past 1, and DeltaUnderflow when a positive c
+    gives a delta of 0.0 (the tail is below the smallest double); values
+    are returned as computed.
     """
-    c, delta, flags = _resolve_tail(inp, convention)
     u = inp.n * inp.d * inp.r
-    eps, more = _tail_budget(u / (inp.mu * (1.0 - inp.mu)), u, inp.mu, c)
-    flags += more
-    return PrivacyReport(epsilon=eps, delta=delta, warnings=_value_flags(eps, flags), inputs=replace(inp, c=c))
+    return _tail_report(inp, convention, u / (inp.mu * (1.0 - inp.mu)), u)
 
 
 def epsilon_delta_depolarizing(inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
@@ -301,29 +280,8 @@ def epsilon_delta_depolarizing(inp: BudgetInputs, convention: str = "paper") -> 
     Same flag semantics as the noiseless variant, with the pole at
     1 - mu - n a.
     """
-    if inp.p is None or inp.D is None:
-        raise BadConfigError("BadConfig: depolarizing budget needs both p and D")
-    c, delta, flags = _resolve_tail(inp, convention)
     a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-    eps, more = _tail_budget(a / (1.0 - inp.mu), inp.n * a, inp.mu, c)
-    flags += more
-    return PrivacyReport(epsilon=eps, delta=delta, warnings=_value_flags(eps, flags), inputs=replace(inp, c=c))
-
-
-def _resolve_tail(inp: BudgetInputs, convention: str) -> tuple[float, float, list[str]]:
-    """Turn the one supplied tail parameter into the (c, delta) pair."""
-    if (inp.c is None) == (inp.delta is None):
-        raise BadConfigError("BadConfig: supply exactly one of c and delta")
-    if inp.c is not None:
-        c = inp.c
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore", RuntimeWarning)
-            delta = delta_from_c(c, inp.mu, inp.n, convention)
-    else:
-        delta = inp.delta
-        c = c_from_delta(delta, inp.mu, inp.n, convention)
-    flags = ["DeltaExceedsOne"] if delta > 1.0 else []
-    return c, float(delta), flags
+    return _tail_report(inp, convention, a / (1.0 - inp.mu), inp.n * a)
 
 
 def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "noiseless") -> int:
@@ -341,10 +299,8 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
         evaluate = lambda n: epsilon_noiseless(replace(inp, n=n)).epsilon
         scale = inp.d * inp.r
     elif regime == "depolarizing":
-        if inp.p is None or inp.D is None:
-            raise BadConfigError("BadConfig: depolarizing budget needs both p and D")
-        evaluate = lambda n: epsilon_depolarizing(replace(inp, n=n)).epsilon
         scale = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
+        evaluate = lambda n: epsilon_depolarizing(replace(inp, n=n)).epsilon
     else:
         raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
     if scale == 0.0:

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .budget import (
     epsilon_depolarizing,
     epsilon_noiseless,
 )
-from .errors import BadConfigError, ShotDPError
+from .errors import BadConfigError, ShotDPError, check_count
 from .states import (
     basis_columns,
     basis_state,
@@ -85,9 +86,10 @@ def _jsonify(obj):
     return obj
 
 
-def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
+def _csv_rows(header: list[str], rows) -> str:
+    """CSV text for rows of floats whose last cell is a tuple of warning flags."""
     lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
+    lines += [",".join([*map(_fmt, row[:-1]), ";".join(row[-1])]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -132,13 +134,12 @@ def _grid_values(start: float, stop: float, step: float, integer: bool) -> list:
     return values
 
 
-def _build_inputs(params: dict) -> BudgetInputs:
-    known = {"d", "r", "n", "mu", "p", "D", "c", "delta", "beta"}
+def _input_kwargs(params: dict) -> dict:
+    """The BudgetInputs fields present in `params`; d, r, n and mu are required."""
     missing = [k for k in ("d", "r", "n", "mu") if params.get(k) is None]
     if missing:
         raise BadConfigError(f"BadConfig: missing required parameters {missing}")
-    kwargs = {k: params[k] for k in known if params.get(k) is not None}
-    return BudgetInputs(**kwargs)
+    return {k: params[k] for k in ("d", "r", "n", "mu", "p", "D", "c", "delta") if params.get(k) is not None}
 
 
 def _select_budget(params: dict):
@@ -168,21 +169,35 @@ def _report_json(report: PrivacyReport) -> str:
     return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _report_csv(report: PrivacyReport) -> str:
-    row = [_fmt(report.epsilon), _fmt(report.delta), ";".join(report.warnings)]
-    return _csv_rows(["epsilon", "delta", "warnings"], [row])
-
-
 def run_compute(cfg: RunConfig) -> str:
     """Evaluate one budget and serialize the report."""
     evaluate = _select_budget(cfg.params)
-    report = evaluate(_build_inputs(cfg.params))
+    report = evaluate(BudgetInputs(**_input_kwargs(cfg.params)))
     fmt = cfg.format or "json"
     if fmt == "json":
         return _report_json(report)
     if fmt == "csv":
-        return _report_csv(report)
+        return _csv_rows(["epsilon", "delta", "warnings"], [(report.epsilon, report.delta, report.warnings)])
     raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
+
+
+# Output columns of sweeps and figures, as paths into a PrivacyReport.
+_COLUMN_PATHS = {"epsilon": "epsilon", "delta": "delta", "c": "inputs.c", "warnings": "warnings"}
+_SWEEP_COLUMNS = ("epsilon", "delta", "warnings")
+
+
+def _sweep_rows(evaluate, params: dict, axis: str, values, columns: tuple[str, ...]) -> list[tuple]:
+    """Evaluate one budget along an axis: per value, a row of the value and
+    then `columns` of its report (two or more, "warnings" last)."""
+    if not values:
+        return []
+    kwargs = _input_kwargs({**params, axis: values[0]})
+    read = attrgetter(*(_COLUMN_PATHS[column] for column in columns))
+    rows = []
+    for v in values:
+        kwargs[axis] = v
+        rows.append((v, *read(evaluate(BudgetInputs(**kwargs)))))
+    return rows
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -194,24 +209,30 @@ def run_sweep(cfg: RunConfig) -> str:
         raise BadConfigError("BadConfig: sweep needs --grid start:stop:step")
     if cfg.params.get(axis) is not None:
         raise BadConfigError(f"BadConfig: axis {axis!r} is both swept and fixed")
+    fmt = cfg.format or "csv"
+    if fmt not in ("csv", "json"):
+        raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
     values = _grid_values(*cfg.grid, integer=axis == "n")
     evaluate = _select_budget({**cfg.params, axis: values[0] if values else None})
-    rows = []
-    records = []
-    for v in values:
-        report = evaluate(_build_inputs({**cfg.params, axis: v}))
-        rows.append([_fmt(v), _fmt(report.epsilon), _fmt(report.delta), ";".join(report.warnings)])
-        records.append({axis: v, "epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings)})
-    fmt = cfg.format or "csv"
+    header = [axis, *_SWEEP_COLUMNS]
+    rows = _sweep_rows(evaluate, cfg.params, axis, values, _SWEEP_COLUMNS)
     if fmt == "csv":
-        return _csv_rows([axis, "epsilon", "delta", "warnings"], rows)
-    if fmt == "json":
-        return json.dumps(_jsonify(records), sort_keys=True, indent=2) + "\n"
-    raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
+        return _csv_rows(header, rows)
+    return json.dumps(_jsonify([dict(zip(header, row)) for row in rows]), sort_keys=True, indent=2) + "\n"
 
 
-# Fixed parameters of the bundled reference sweeps.
-_FIGURE_DEFAULTS = {"d": 0.1, "r": 1, "mu": 0.15}
+_SHOT_AXIS = tuple(range(5, 101))
+# The bundled reference sweeps, all at d = 0.1, r = 1, mu = 0.15:
+# name -> (budget, other fixed parameters, axis, default axis values, columns after the axis).
+_FIGURES = {
+    "fig3": (epsilon_noiseless, {}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig4a": (epsilon_depolarizing, {"n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
+              ("epsilon", "warnings")),
+    "fig4b": (epsilon_depolarizing, {"p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig5a": (epsilon_delta_noiseless, {"n": 10}, "delta", tuple(np.logspace(-4, -1, 40).tolist()),
+              ("c", "epsilon", "warnings")),
+    "fig5b": (epsilon_delta_noiseless, {"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+}
 
 
 def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | None = None) -> str:
@@ -222,46 +243,16 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     fig4b  epsilon vs shots under depolarizing    (n = 5..100, p = 0.5, D = 2)
     fig5a  epsilon and cutoff vs delta, noiseless (40 log-spaced delta, n = 10)
     fig5b  epsilon vs shots at fixed delta        (n = 5..100, delta = 0.01)
+
+    `grid` replaces the default axis values.
     """
-    base = dict(_FIGURE_DEFAULTS)
-    if which == "fig3":
-        values = _grid_values(*(grid or (5, 100, 1)), integer=True)
-        header = ["n", "epsilon", "warnings"]
-        rows = []
-        for n in values:
-            report = epsilon_noiseless(BudgetInputs(n=n, **base))
-            rows.append([_fmt(n), _fmt(report.epsilon), ";".join(report.warnings)])
-    elif which == "fig4a":
-        values = [i / 100.0 for i in range(5, 96)] if grid is None else _grid_values(*grid, integer=False)
-        header = ["p", "epsilon", "warnings"]
-        rows = []
-        for p in values:
-            report = epsilon_depolarizing(BudgetInputs(n=10, p=p, D=2, **base))
-            rows.append([_fmt(p), _fmt(report.epsilon), ";".join(report.warnings)])
-    elif which == "fig4b":
-        values = _grid_values(*(grid or (5, 100, 1)), integer=True)
-        header = ["n", "epsilon", "warnings"]
-        rows = []
-        for n in values:
-            report = epsilon_depolarizing(BudgetInputs(n=n, p=0.5, D=2, **base))
-            rows.append([_fmt(n), _fmt(report.epsilon), ";".join(report.warnings)])
-    elif which == "fig5a":
-        values = np.logspace(-4, -1, 40).tolist() if grid is None else _grid_values(*grid, integer=False)
-        header = ["delta", "c", "epsilon", "warnings"]
-        rows = []
-        for delta in values:
-            report = epsilon_delta_noiseless(BudgetInputs(n=10, delta=delta, **base))
-            rows.append([_fmt(delta), _fmt(report.inputs.c), _fmt(report.epsilon), ";".join(report.warnings)])
-    elif which == "fig5b":
-        values = _grid_values(*(grid or (5, 100, 1)), integer=True)
-        header = ["n", "epsilon", "warnings"]
-        rows = []
-        for n in values:
-            report = epsilon_delta_noiseless(BudgetInputs(n=n, delta=0.01, **base))
-            rows.append([_fmt(n), _fmt(report.epsilon), ";".join(report.warnings)])
-    else:
+    if which not in _FIGURES:
         raise BadConfigError(f"BadConfig: unknown figure {which!r}")
-    text = _csv_rows(header, rows)
+    budget, fixed, axis, values, columns = _FIGURES[which]
+    if grid is not None:
+        values = _grid_values(*grid, integer=axis == "n")
+    params = {"d": 0.1, "r": 1, "mu": 0.15, **fixed}
+    text = _csv_rows([axis, *columns], _sweep_rows(budget, params, axis, values, columns))
     _emit(text, out)
     return text
 
@@ -315,10 +306,10 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     def setting(key, fallback):
         return fallback if params.get(key) is None else params[key]
 
-    dim = int(setting("dim", 2))
+    dim = check_count(setting("dim", 2), "dimension D")
     d = float(setting("d", 0.1))
-    n = int(setting("n", 10))
-    trials = int(setting("trials", 100000))
+    n = check_count(setting("n", 10), "shots n")
+    trials = check_count(setting("trials", 100000), "trials")
     seed = cfg.seed
     p = params.get("p")
     rho = _parse_state(params.get("state"), dim, default_diag=True)
@@ -361,7 +352,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     return text, code
 
 
-_FLOAT_KEYS = ("d", "mu", "p", "c", "delta", "beta")
+_FLOAT_KEYS = ("d", "mu", "p", "c", "delta")
 _INT_KEYS = ("r", "n", "D", "dim", "trials")
 _STR_KEYS = ("regime", "convention", "axis", "which", "state", "anchor", "projector", "format", "out", "grid")
 
@@ -392,8 +383,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             continue
         if key in _FLOAT_KEYS and value is not None:
             params[key] = float(value)
-        elif key in _INT_KEYS and value is not None:
-            params[key] = int(value)
         else:
             params[key] = value
     unknown = set(merged) - set(_FLOAT_KEYS) - set(_INT_KEYS) - set(_STR_KEYS) - {"seed"}
@@ -404,7 +393,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         params=params,
         grid=_parse_grid(grid) if grid else None,
-        seed=int(merged.get("seed", 42)),
+        seed=check_count(merged.get("seed", 42), "seed", minimum=0),
         output_path=merged.get("out"),
         format=merged.get("format"),
     )
@@ -436,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures", help="write one bundled reference sweep as CSV")
     add_common(figures)
-    figures.add_argument("--which", choices=["fig3", "fig4a", "fig4b", "fig5a", "fig5b"])
+    figures.add_argument("--which", choices=list(_FIGURES))
 
     audit = sub.add_parser("audit", help="state-to-verdict audit run")
     add_common(audit)

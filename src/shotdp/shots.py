@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateMuError, OutOfRangeError
+from .errors import check_count, check_mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,24 +34,9 @@ class NormalModel:
     variance: float
 
 
-def _check_mu(mu: float, allow_endpoints: bool) -> float:
-    mu = float(mu)
-    if not 0.0 <= mu <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: mean {mu} outside [0, 1]")
-    if not allow_endpoints and (mu == 0.0 or mu == 1.0):
-        raise DegenerateMuError(f"DegenerateMu: mean {mu} leaves zero variance")
-    return mu
-
-
-def _check_shots(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise OutOfRangeError(f"OutOfRange: shot count must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def single_shot_variance(mu: float) -> float:
     """Variance mu(1-mu) of one projective outcome with success probability mu."""
-    mu = _check_mu(mu, allow_endpoints=True)
+    mu = check_mean(mu, allow_endpoints=True)
     return mu * (1.0 - mu)
 
 
@@ -61,8 +46,8 @@ def log_binomial_pmf(mu: float, n: int) -> np.ndarray:
     Requires mu strictly inside (0, 1); endpoint means have -inf entries
     and are served by `binomial_distribution` as point masses instead.
     """
-    mu = _check_mu(mu, allow_endpoints=False)
-    n = _check_shots(n)
+    mu = check_mean(mu)
+    n = check_count(n, "shots n")
     k = np.arange(n + 1)
     return (
         gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
@@ -77,8 +62,8 @@ def binomial_distribution(mu: float, n: int) -> OutcomeDistribution:
     binomial coefficient) so large n neither overflows nor loses the tails.
     Endpoint means are allowed and give point masses.
     """
-    mu = _check_mu(mu, allow_endpoints=True)
-    n = _check_shots(n)
+    mu = check_mean(mu, allow_endpoints=True)
+    n = check_count(n, "shots n")
     if mu == 0.0 or mu == 1.0:
         probs = np.zeros(n + 1)
         probs[n if mu == 1.0 else 0] = 1.0
@@ -94,8 +79,8 @@ def normal_model(mu: float, n: int) -> NormalModel:
     Raises DegenerateMuError at mu in {0, 1}: the surrogate needs positive
     variance.
     """
-    mu = _check_mu(mu, allow_endpoints=False)
-    n = _check_shots(n)
+    mu = check_mean(mu)
+    n = check_count(n, "shots n")
     return NormalModel(mean=mu, variance=mu * (1.0 - mu) / n)
 
 
@@ -114,12 +99,10 @@ def log_likelihood_ratio(x: float, mu0: float, mu1: float, n: int) -> float:
     bit-exact. The shot count multiplies last, so scaling in n is exact too.
     The kernels are unnormalized: no log-sigma term appears.
     """
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: sample mean {x} outside [0, 1]")
-    mu0 = _check_mu(mu0, allow_endpoints=False)
-    mu1 = _check_mu(mu1, allow_endpoints=False)
-    n = _check_shots(n)
+    x = check_mean(x, "sample mean x", allow_endpoints=True)
+    mu0 = check_mean(mu0, "mean mu0")
+    mu1 = check_mean(mu1, "mean mu1")
+    n = check_count(n, "shots n")
     lo, hi = (mu0, mu1) if mu0 <= mu1 else (mu1, mu0)
     edge = (1.0 - lo) * (1.0 - hi)
     quad = (1.0 - lo - hi) / (2.0 * lo * hi * edge)
@@ -135,14 +118,12 @@ def sample_means(mu: float, n: int, trials: int, seed: int) -> np.ndarray:
     or batching. Each trial turns one uniform into a count by inverting the
     exact cumulative law, then divides by n.
     """
-    if int(trials) != trials or trials < 1:
-        raise OutOfRangeError(f"OutOfRange: trials must be a positive integer, got {trials!r}")
-    if int(seed) != seed or seed < 0:
-        raise OutOfRangeError(f"OutOfRange: seed must be a nonnegative integer, got {seed!r}")
+    trials = check_count(trials, "trials")
+    seed = check_count(seed, "seed", minimum=0)
     dist = binomial_distribution(mu, n)
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0  # close the float gap so every uniform lands in a bin
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random(int(trials))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random(trials)
     counts = np.searchsorted(cdf, u, side="right")
     return counts / float(n)

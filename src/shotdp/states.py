@@ -26,6 +26,9 @@ from .errors import (
     NotPSDError,
     OutOfRangeError,
     TraceNotOneError,
+    check_count,
+    check_distance,
+    check_noise,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -118,8 +121,7 @@ def make_density(entries) -> DensityMatrix:
 
 def maximally_mixed(dim: int) -> DensityMatrix:
     """Identity over `dim`: the state with no information in any basis."""
-    if dim < 1:
-        raise OutOfRangeError(f"OutOfRange: dim must be >= 1, got {dim}")
+    dim = check_count(dim, "dimension D")
     return make_density(np.eye(dim) / dim)
 
 
@@ -187,8 +189,7 @@ def complement_projector(m: Projector) -> Projector:
 
 
 def identity_channel(dim: int) -> Channel:
-    if dim < 1:
-        raise OutOfRangeError(f"OutOfRange: dim must be >= 1, got {dim}")
+    dim = check_count(dim, "dimension D")
     return Channel(kind="identity", p=0.0, dim=dim)
 
 
@@ -198,10 +199,8 @@ def depolarizing_channel(p: float, dim: int) -> Channel:
     `p` must lie in [0, 1]; p=0 reduces to the identity map (kept as its own
     kind so budgets can still require strictly positive noise).
     """
-    if dim < 1:
-        raise OutOfRangeError(f"OutOfRange: dim must be >= 1, got {dim}")
-    if not 0.0 <= p <= 1.0:
-        raise OutOfRangeError(f"OutOfRange: depolarizing probability {p} outside [0, 1]")
+    dim = check_count(dim, "dimension D")
+    check_noise(p, allow_zero=True)
     return Channel(kind="depolarizing", p=float(p), dim=dim)
 
 
@@ -279,8 +278,7 @@ def neighbor_state(rho: DensityMatrix, d: float, anchor: DensityMatrix | None = 
         anchor = maximally_mixed(rho.dim)
     if rho.dim != anchor.dim:
         raise DimMismatchError(f"DimMismatch: {rho.dim} != {anchor.dim}")
-    if d < 0.0:
-        raise OutOfRangeError(f"OutOfRange: distance must be nonnegative, got {d}")
+    check_distance(d)
     reach = trace_distance(rho, anchor)
     if reach <= 1e-12:
         raise AnchorCoincidesError("AnchorCoincides: anchor is indistinguishable from the state")

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -103,6 +104,20 @@ class TestHockeyStick:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(OutOfRangeError):
             hockey_stick_delta(0.25, 0.15, 4, -0.1)
+
+    def test_no_excess_where_the_inflated_law_underflows(self):
+        """At eps = 3180 the log ratio never exceeds eps where P0 has mass
+        (it is about 975 at P0's mode), so delta is 0 even though P1
+        underflows to 0.0 there."""
+        assert hockey_stick_delta(0.39354, 0.37212, 10**6, 3180.0) == 0.0
+
+    def test_deep_tail_against_high_precision(self):
+        mu0, mu1, n, eps = 0.19816397164651134, 0.04489445877221952, 278, 400.5451322538914
+        with mpmath.workdps(50):
+            a, b, grow = mpmath.mpf(mu0), mpmath.mpf(mu1), mpmath.exp(mpmath.mpf(eps))
+            terms = (mpmath.binomial(n, k) * (a**k * (1 - a) ** (n - k) - grow * b**k * (1 - b) ** (n - k)) for k in range(n + 1))
+            want = float(sum(t for t in terms if t > 0))
+        assert hockey_stick_delta(mu0, mu1, n, eps) == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestMinExpectation:

@@ -203,6 +203,28 @@ class TestTailConversions:
         with pytest.raises(BadConfigError):
             delta_from_c(0.3, 0.15, 5, convention="folklore")
 
+    def test_inverse_against_high_precision(self):
+        """Relative error at most 1e-13 over delta in [1e-300, 0.99 sup], both conventions.
+
+        The reference solves log erfc(c / (sqrt(2) sigma)) = log(delta / scale)
+        at 40 digits, where scale is sqrt(2 pi) sigma (paper) or 1 (normalized).
+        """
+        for mu, n in ((0.05, 1), (0.15, 10), (0.5, 10**6)):
+            sigma = math.sqrt(mu * (1.0 - mu) / n)
+            for convention, scale in (("paper", math.sqrt(2.0 * math.pi) * sigma), ("normalized", 1.0)):
+                for delta in np.geomspace(1e-300, 0.99 * scale, 30):
+                    got = c_from_delta(float(delta), mu, n, convention)
+                    with mpmath.workdps(40):
+                        s = mpmath.sqrt(mpmath.mpf(mu) * (1 - mpmath.mpf(mu)) / n)
+                        log_y = mpmath.log(mpmath.mpf(float(delta)) / (mpmath.sqrt(2 * mpmath.pi) * s if convention == "paper" else 1))
+                        x = mpmath.findroot(lambda x: mpmath.log(mpmath.erfc(x)) - log_y, mpmath.mpf(got) / (mpmath.sqrt(2) * s))
+                        want = mpmath.sqrt(2) * s * x
+                    assert abs(got - want) <= 1e-13 * want, (mu, n, convention, float(delta))
+
+    def test_inverse_rejects_delta_whose_quantile_underflows(self):
+        with pytest.raises(DeltaOutOfRangeError, match="too small"):
+            c_from_delta(5e-324, 0.15, 10, convention="normalized")
+
 
 class TestTailBudgets:
     """(epsilon, delta) budgets driven by a frequency cutoff."""
@@ -252,6 +274,12 @@ class TestTailBudgets:
         rep = epsilon_delta_noiseless(BudgetInputs(d=0.25, r=2, n=1, mu=0.5, c=0.1))
         assert not math.isfinite(rep.epsilon)
         assert "Divergent" in rep.warnings and "RegimeInvalid" in rep.warnings
+
+    def test_delta_underflow_flag_in_report(self):
+        """A 3.5e5-sigma cutoff: the tail is far below the smallest double."""
+        rep = epsilon_delta_noiseless(BudgetInputs(d=1e-7, r=1, n=100000, mu=0.15, c=0.05))
+        assert rep.delta == 0.0
+        assert rep.warnings == ("DeltaUnderflow",)
 
     def test_delta_exceeds_one_flag_in_report(self):
         rep = epsilon_delta_noiseless(BudgetInputs(d=0.001, r=1, n=1, mu=0.5, c=0.001))
@@ -351,3 +379,24 @@ class TestBudgetInputsValidation:
     def test_delta_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, delta=-0.01)
+
+    def test_boolean_rank_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=True, n=10, mu=0.15)
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=1, n=10, mu=0.15, p=0.5, D=True)
+
+    def test_integral_float_counts_stored_as_int(self):
+        inp = BudgetInputs(d=0.1, r=1.0, n=10.0, mu=0.15, p=0.5, D=np.int64(2))
+        assert (inp.r, inp.n, inp.D) == (1, 10, 2)
+        assert all(type(v) is int for v in (inp.r, inp.n, inp.D))
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=1, n=10.5, mu=0.15)
+
+    def test_nonfinite_tail_parameters_rejected(self):
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("inf"))
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=1, n=10, mu=0.15, delta=float("inf"))
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("nan"))

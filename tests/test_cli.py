@@ -72,6 +72,19 @@ class TestComputeCommand:
         assert rc == 2
         assert "gamma" in capsys.readouterr().err
 
+    def test_beta_is_an_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "beta": 0.997}))
+        assert main(["compute", "--config", str(cfg)]) == 2
+        assert "beta" in capsys.readouterr().err
+
+    def test_config_counts_are_validated_not_truncated(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        for n, rc in ((10.7, 2), (True, 2), (10.0, 0)):
+            cfg.write_text(json.dumps({"d": 0.1, "r": 1, "n": n, "mu": 0.15}))
+            assert main(["compute", "--config", str(cfg)]) == rc
+        assert json.loads(capsys.readouterr().out)["inputs"]["n"] == 10
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--out", str(out)])
