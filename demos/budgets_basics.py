@@ -44,7 +44,7 @@ def main():
 
     print("Largest shot count within a target budget (noiseless, d=0.1, mu=0.15)")
     inp = BudgetInputs(d=0.1, r=1, n=1, mu=0.15)
-    for target in (3.0, 6.4216, 20.0):
+    for target in (5.0, 6.4216, 20.0):
         n = shots_for_budget(target, inp)
         eps = epsilon_noiseless(BudgetInputs(d=0.1, r=1, n=n, mu=0.15)).epsilon
         print(f"  target {target:8.4f}  ->  n = {n:4d}  (eps(n) = {eps:.4f})")

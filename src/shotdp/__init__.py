@@ -4,7 +4,10 @@ A finite number n of projective measurement shots turns any pair of close
 quantum states into a pair of close binomial laws over outcome frequencies.
 This package evaluates closed-form (epsilon, delta) privacy budgets for that
 mechanism, models the shot noise exactly and through its normal limit, and
-audits the closed forms against brute-force binomial oracles.
+audits the closed forms against exact binomial oracles. The per-count log
+ratio of two binomial laws is affine in the count, so the exact epsilon is
+a closed form and the exact delta one sum over counts; the brute-force
+versions live in the tests as references.
 
 Modules:
     states  density matrices, projectors, channels, trace distance

@@ -7,6 +7,13 @@ defining privacy inequality subset-by-subset (`qdp_check`), compares the
 closed forms against their own endpoint approximation (`dominance_audit`),
 and confirms the exact oracles empirically (`monte_carlo_audit`). Reports
 carry slack as data; nothing here assumes the budgets are tight.
+
+For two binomial laws over the same n the per-count log ratio is affine in
+the count (the binomial coefficients cancel), so its extremes sit at the
+ends of any run of counts: `exact_epsilon` and the dominance audit's window
+maxima are closed forms, and `hockey_stick_delta` needs only P0's pmf.
+Brute-force maxima over all n + 1 outcomes are kept in the tests as
+references.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .errors import (
     PreconditionViolatedError,
     TooManyOutcomesError,
     check_count,
+    check_mean,
 )
 from .shots import binomial_distribution, log_binomial_pmf, log_likelihood_ratio, sample_means
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
@@ -72,33 +80,64 @@ class MinExpectation(NamedTuple):
     mu1: float
 
 
+def _log_quotient(num: float, den: float, gap: float) -> float:
+    """log(num / den) for positive num and den, given gap = num - den.
+
+    Near 1, log1p of the relative gap keeps the digits that log of the
+    rounded quotient would cancel; away from 1 the quotient is the accurate
+    one, since a relative gap near -1 has already lost them.
+    """
+    if 0.5 * den <= num <= 2.0 * den:
+        return math.log1p(gap / den)
+    return math.log(num / den)
+
+
+def _log_ratio(mu0: float, mu1: float, n: int, k):
+    """Per-count log ratio log P0(k) - log P1(k) of the two n-shot count laws.
+
+    The binomial coefficients cancel, leaving the affine form
+
+        k log(mu0 / mu1) + (n - k) log((1 - mu0) / (1 - mu1))
+
+    whose two logs are each within a few units in the last place for means
+    at or above the smallest normal double. `k` may be a scalar or an array
+    of counts.
+    """
+    mu0 = check_mean(mu0, "mean mu0")
+    mu1 = check_mean(mu1, "mean mu1")
+    n = check_count(n, "shots n")
+    lead = _log_quotient(mu0, mu1, mu0 - mu1)
+    trail = _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
+    return k * lead + (n - k) * trail
+
+
 def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     """Smallest eps for which the exact n-shot mechanism is pure-DP.
 
-    Brute force over the two binomial laws: the max over all n+1 outcomes
-    of the absolute log-probability ratio, computed in log space so deep
-    tails cost no precision.
+    The largest absolute log-probability ratio over all n+1 outcomes. The
+    ratio is affine in the count, so the largest magnitude is at k = 0 or
+    k = n: n |log((1-mu0)/(1-mu1))| or n |log(mu0/mu1)|. Both means must
+    lie strictly inside (0, 1).
     """
-    ratio = log_binomial_pmf(mu0, n) - log_binomial_pmf(mu1, n)
-    return float(np.max(np.abs(ratio)))
+    return max(abs(_log_ratio(mu0, mu1, n, 0)), abs(_log_ratio(mu0, mu1, n, n)))
 
 
 def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     """Smallest valid delta for the exact mechanism at privacy level eps.
 
     Sums the positive parts of P0(k) - e^eps P1(k) over all outcomes, each
-    written as P0(k) (1 - e^(eps - llr(k))) with llr = log P0 - log P1 taken
-    from the log pmfs: a term is positive exactly where llr(k) > eps, and no
+    written as P0(k) (1 - e^(eps - llr(k))) with llr = log P0 - log P1 in its
+    affine closed form: a term is positive exactly where llr(k) > eps, and no
     term needs e^eps or a probability that has underflowed to 0.0. Decreasing
     in eps; at eps = 0 it is the total-variation distance. Both means must
     lie strictly inside (0, 1).
     """
     if not eps >= 0.0:
         raise OutOfRangeError(f"OutOfRange: eps={eps} must be nonnegative")
-    log_p0 = log_binomial_pmf(mu0, n)
-    llr = log_p0 - log_binomial_pmf(mu1, n)
+    n = check_count(n, "shots n")
+    llr = _log_ratio(mu0, mu1, n, np.arange(n + 1))
     over = llr > eps
-    return float(np.sum(np.exp(log_p0[over]) * -np.expm1(eps - llr[over])))
+    return float(np.sum(np.exp(log_binomial_pmf(mu0, n)[over]) * -np.expm1(eps - llr[over])))
 
 
 def min_expectation(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, m: Projector) -> MinExpectation:
@@ -202,20 +241,36 @@ def dominance_audit(
     if mu0 + mu1 > 1.0:
         flags.append("NonConvexRegime")
 
+    n = report.inputs.n
     sigma0 = math.sqrt(mu0 * (1.0 - mu0) / n)
     raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
     x_lower, x_upper = max(raw_lower, 0.0), min(raw_upper, 1.0)
     llr_lower = log_likelihood_ratio(x_lower, mu0, mu1, n)
     llr_upper = log_likelihood_ratio(x_upper, mu0, mu1, n)
 
-    ks = np.arange(n + 1)
-    in_window = (ks / n >= raw_lower) & (ks / n <= raw_upper)
-    boundary = (ks == 0) | (ks == n)
-    excluded = tuple(int(k) for k in ks[in_window & boundary])
-    log_ratio = log_binomial_pmf(mu0, n) - log_binomial_pmf(mu1, n)
-    interior = in_window & ~boundary
-    window_exact = float(np.max(np.abs(log_ratio[interior]))) if interior.any() else 0.0
-    window_exact_full = float(np.max(np.abs(log_ratio[in_window]))) if in_window.any() else 0.0
+    # Counts k with raw_lower <= k/n <= raw_upper, as one run k_lo..k_hi. The
+    # rounded n * raw lands within one count of each edge; k/n, compared as
+    # a float, settles an edge count whose k/n equals raw in exact arithmetic.
+    k_lo = max(math.ceil(n * raw_lower), 0)
+    if k_lo > 0 and (k_lo - 1) / n >= raw_lower:
+        k_lo -= 1
+    elif k_lo / n < raw_lower:
+        k_lo += 1
+    k_hi = min(math.floor(n * raw_upper), n)
+    if k_hi < n and (k_hi + 1) / n <= raw_upper:
+        k_hi += 1
+    elif k_hi / n > raw_upper:
+        k_hi -= 1
+
+    def run_max(lo: int, hi: int) -> float:
+        # The log ratio is affine in k, so on a run of counts it peaks at an end.
+        if lo > hi:
+            return 0.0
+        return max(abs(_log_ratio(mu0, mu1, n, lo)), abs(_log_ratio(mu0, mu1, n, hi)))
+
+    excluded = tuple(k for k in (0, n) if k_lo <= k <= k_hi)
+    window_exact = run_max(max(k_lo, 1), min(k_hi, n - 1))
+    window_exact_full = run_max(k_lo, k_hi)
 
     dominated = {
         "endpoint_lower": llr_lower <= eps + _EQ_SLACK,
@@ -239,7 +294,7 @@ def dominance_audit(
             "slack_upper": eps - llr_upper,
             "window_exact_epsilon": window_exact,
             "window_exact_epsilon_with_boundary": window_exact_full,
-            "window_outcome_count": int(np.count_nonzero(in_window)),
+            "window_outcome_count": max(k_hi - k_lo + 1, 0),
         },
     )
 
@@ -282,7 +337,7 @@ def monte_carlo_audit(
     emp1 = counts1 / trials
     observable = (counts0 > 0) & (counts1 > 0)
     excluded = tuple(int(k) for k in np.arange(n + 1)[~observable])
-    log_ratio = log_binomial_pmf(mu0, n) - log_binomial_pmf(mu1, n)
+    log_ratio = _log_ratio(mu0, mu1, n, np.arange(n + 1))
     eps_hat = {}
     eps_hat_error = {}
     for k in np.arange(n + 1)[observable]:

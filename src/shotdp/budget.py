@@ -46,9 +46,10 @@ _normal_quantile = NormalDist().inv_cdf
 class BudgetInputs:
     """Parameter bundle shared by the budget formulas.
 
-    Every field is checked on construction by its validator in `errors`.
-    Counts are stored as `int`: an integral float such as 10.0 is
-    converted, and a bool is rejected.
+    Every field is checked on construction by its validator in `errors`
+    and stored as the value it returns. Counts are stored as `int` (an
+    integral float such as 10.0 is converted) and the other fields as
+    `float`; a bool or a non-number is rejected.
 
     Attributes
     ----------
@@ -80,18 +81,22 @@ class BudgetInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        check_distance(self.d)
-        object.__setattr__(self, "r", check_count(self.r, "rank r"))
-        object.__setattr__(self, "n", check_count(self.n, "shots n"))
-        check_mean(self.mu)
+        checked = {
+            "d": check_distance(self.d),
+            "r": check_count(self.r, "rank r"),
+            "n": check_count(self.n, "shots n"),
+            "mu": check_mean(self.mu),
+        }
         if self.p is not None:
-            check_noise(self.p)
+            checked["p"] = check_noise(self.p)
         if self.D is not None:
-            object.__setattr__(self, "D", check_count(self.D, "dimension D"))
+            checked["D"] = check_count(self.D, "dimension D")
         if self.c is not None:
-            check_cutoff(self.c)
+            checked["c"] = check_cutoff(self.c)
         if self.delta is not None:
-            check_delta(self.delta)
+            checked["delta"] = check_delta(self.delta)
+        # The instance is frozen, so the checked values go straight into its dict.
+        self.__dict__.update(checked)
 
 
 @dataclass(frozen=True)
@@ -123,8 +128,8 @@ def depolarizing_constant(p: float, d: float, r: int, dim: int) -> float:
     """
     if p is None or dim is None:
         raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
-    check_noise(p)
-    check_distance(d)
+    p = check_noise(p)
+    d = check_distance(d)
     r = check_count(r, "rank r")
     dim = check_count(dim, "dimension D")
     return ((1.0 - p) / p) * d * r * dim
@@ -134,6 +139,21 @@ def expectation_ratio_bound(mu1: float, d: float, p: float, dim: int) -> float:
     """Largest mean mu1 (1 + ((1-p)/p) d dim) reachable from a state with
     mean mu1 by moving trace distance d under depolarizing noise p."""
     return check_mean(mu1, "mean mu1") * (1.0 + depolarizing_constant(p, d, 1, dim))
+
+
+def _pure_terms(inp: BudgetInputs, regime: str) -> tuple[float, float]:
+    """Scale and quadratic coefficient of the pure budget for `regime`.
+
+    The pure budget is scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ];
+    neither coefficient depends on n, and both are nonnegative.
+    """
+    if regime == "noiseless":
+        dr = inp.d * inp.r
+        return dr / ((1.0 - inp.mu) * inp.mu), dr * (inp.mu + dr)
+    if regime == "depolarizing":
+        a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
+        return a / (1.0 - inp.mu), a * inp.mu * inp.mu * (1.0 + a)
+    raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
 
 
 def _pure_report(inp: BudgetInputs, scale: float, quadratic: float) -> PrivacyReport:
@@ -153,8 +173,7 @@ def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
     The first bracket term goes negative for mu > 1/2; the report flags
     that regime rather than adjusting the value.
     """
-    dr = inp.d * inp.r
-    return _pure_report(inp, dr / ((1.0 - inp.mu) * inp.mu), dr * (inp.mu + dr))
+    return _pure_report(inp, *_pure_terms(inp, "noiseless"))
 
 
 def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
@@ -165,8 +184,7 @@ def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
         eps = (a / (1-mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
                              + a mu^2 (1+a) n / (1-mu) ]
     """
-    a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-    return _pure_report(inp, a / (1.0 - inp.mu), a * inp.mu * inp.mu * (1.0 + a))
+    return _pure_report(inp, *_pure_terms(inp, "depolarizing"))
 
 
 def _sigma(mu: float, n: int) -> float:
@@ -287,34 +305,39 @@ def epsilon_delta_depolarizing(inp: BudgetInputs, convention: str = "paper") -> 
 def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "noiseless") -> int:
     """Largest shot count whose pure-epsilon budget stays within the target.
 
-    The pure budgets grow strictly with n whenever their scale (d r, or the
-    depolarizing constant) is positive, so the answer is found by doubling
-    then integer bisection. Raises UnattainableError when even one shot
-    exceeds the target, and BadConfigError when the budget is identically
-    zero (nothing to bound: d = 0, or p = 1).
+    With s = sqrt(n) and q = quadratic / (1-mu), the pure budget is
+    scale [ (9/2)(1-2mu) + (3/2) s + q s^2 ], a quadratic in s with
+    nonnegative coefficients, so it grows strictly with n whenever scale
+    (d r, or the depolarizing constant) is positive. The answer is the floor
+    of the square of its positive root at the target, taken in the
+    cancellation-free form s = -2 c0 / (3/2 + sqrt(9/4 - 4 q c0)) with
+    c0 = (9/2)(1-2mu) - target / scale (which also covers q = 0), then
+    stepped by single shots against the budget itself so float rounding in
+    the root cannot move the answer. Past 2**53 shots, where adjacent counts
+    round to one double, the steps and the answer's precision are the
+    spacing of doubles there. Raises UnattainableError when even one
+    shot exceeds the target, and BadConfigError when the budget is
+    identically zero (nothing to bound: d = 0, or p = 1).
     """
     if not target_epsilon > 0.0:
         raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive")
-    if regime == "noiseless":
-        evaluate = lambda n: epsilon_noiseless(replace(inp, n=n)).epsilon
-        scale = inp.d * inp.r
-    elif regime == "depolarizing":
-        scale = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-        evaluate = lambda n: epsilon_depolarizing(replace(inp, n=n)).epsilon
-    else:
-        raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
+    scale, quadratic = _pure_terms(inp, regime)
     if scale == 0.0:
         raise BadConfigError("BadConfig: epsilon is identically zero, every shot count fits the budget")
+
+    def evaluate(n: int) -> float:
+        return _pure_report(replace(inp, n=n), scale, quadratic).epsilon
+
     if evaluate(1) > target_epsilon:
         raise UnattainableError(f"Unattainable: epsilon({1}) = {evaluate(1):.6g} already exceeds {target_epsilon}")
-    lo, hi = 1, 2
-    while evaluate(hi) <= target_epsilon:
-        lo, hi = hi, hi * 2
-    # Invariant: evaluate(lo) <= target < evaluate(hi); shrink to adjacent.
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if evaluate(mid) <= target_epsilon:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    q = quadratic / (1.0 - inp.mu)
+    c0 = 4.5 * (1.0 - 2.0 * inp.mu) - target_epsilon / scale
+    s = -2.0 * c0 / (1.5 + math.sqrt(2.25 - 4.0 * q * c0))
+    n = max(int(s * s), 1)
+    # Shot counts that round to one double share a budget: past 2**53, step by their spacing.
+    step = max(int(math.ulp(s * s)), 1)
+    while evaluate(n + step) <= target_epsilon:
+        n += step
+    while evaluate(n) > target_epsilon:
+        n -= step
+    return n

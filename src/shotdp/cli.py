@@ -33,7 +33,7 @@ from .budget import (
     epsilon_depolarizing,
     epsilon_noiseless,
 )
-from .errors import BadConfigError, ShotDPError, check_count
+from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_noise
 from .states import (
     basis_columns,
     basis_state,
@@ -307,15 +307,15 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
         return fallback if params.get(key) is None else params[key]
 
     dim = check_count(setting("dim", 2), "dimension D")
-    d = float(setting("d", 0.1))
+    d = check_distance(setting("d", 0.1))
     n = check_count(setting("n", 10), "shots n")
     trials = check_count(setting("trials", 100000), "trials")
     seed = cfg.seed
-    p = params.get("p")
+    p = None if params.get("p") is None else check_noise(params["p"], allow_zero=True)
     rho = _parse_state(params.get("state"), dim, default_diag=True)
     anchor = _parse_state(params.get("anchor"), dim)
     sigma = neighbor_state(rho, d, anchor)
-    ch = depolarizing_channel(float(p), dim) if p is not None else identity_channel(dim)
+    ch = depolarizing_channel(p, dim) if p is not None else identity_channel(dim)
     regime = "depolarizing" if p is not None else "noiseless"
     projector = _parse_projector(params.get("projector"), dim)
     measured = min_expectation(rho, sigma, ch, projector)
@@ -324,7 +324,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
 
     dominance = dominance_audit(
         d=d, r=projector.rank, n=n, mu0=mu_hi, mu1=mu_lo, regime=regime,
-        p=float(p) if p is not None else None, dim=dim if p is not None else None,
+        p=p, dim=dim if p is not None else None,
     )
     carlo = monte_carlo_audit(mu_hi, mu_lo, n, trials, seed)
     single_shot_eps = exact_epsilon(mu_hi, mu_lo, 1)
@@ -334,7 +334,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     payload = {
         "config": {
             "dim": dim, "d": d, "n": n, "trials": trials, "seed": seed,
-            "p": None if p is None else float(p), "regime": regime,
+            "p": p, "regime": regime,
             "projector_rank": projector.rank,
         },
         "derived": {
@@ -377,14 +377,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    params = {}
-    for key, value in merged.items():
-        if key in ("seed", "out", "format", "grid"):
-            continue
-        if key in _FLOAT_KEYS and value is not None:
-            params[key] = float(value)
-        else:
-            params[key] = value
+    params = {key: value for key, value in merged.items() if key not in ("seed", "out", "format", "grid")}
     unknown = set(merged) - set(_FLOAT_KEYS) - set(_INT_KEYS) - set(_STR_KEYS) - {"seed"}
     if unknown:
         raise BadConfigError(f"BadConfig: unknown configuration keys {sorted(unknown)}")

@@ -3,7 +3,8 @@
 Every class subclasses :class:`ShotDPError` (itself a ``ValueError``), so
 callers can catch the package's rejections generically while tests and the
 command line can name the precise condition. Each scalar parameter has one
-`check_*` validator below, which returns the value it accepted.
+`check_*` validator below, which returns the value it accepted: real
+parameters as a `float` (bools and non-numbers rejected), counts as an `int`.
 """
 
 import math
@@ -79,8 +80,17 @@ class BadConfigError(ShotDPError):
     """Run configuration is malformed or inconsistent."""
 
 
-def check_distance(d):
+def _real(value, name: str) -> float:
+    """A real number as a `float`; bools and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRangeError(f"OutOfRange: {name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def check_distance(d) -> float:
     """Trace distance d in [0, 1]."""
+    if type(d) is not float:
+        d = _real(d, "distance d")
     if not 0.0 <= d <= 1.0:
         raise OutOfRangeError(f"OutOfRange: distance d={d} outside [0, 1]")
     return d
@@ -107,17 +117,21 @@ def check_count(value, name: str, minimum: int = 1) -> int:
 def check_mean(mu, name: str = "mean mu", allow_endpoints: bool = False) -> float:
     """Outcome mean in (0, 1), or [0, 1] with `allow_endpoints`; an excluded
     endpoint leaves no variance and is DegenerateMu."""
+    if type(mu) is not float:
+        mu = _real(mu, name)
     if not 0.0 < mu < 1.0:
         if not 0.0 <= mu <= 1.0:
             raise OutOfRangeError(f"OutOfRange: {name}={mu} outside [0, 1]")
         if not allow_endpoints:
             raise DegenerateMuError(f"DegenerateMu: {name}={mu} leaves zero variance")
-    return float(mu)
+    return mu
 
 
-def check_noise(p, allow_zero: bool = False):
+def check_noise(p, allow_zero: bool = False) -> float:
     """Depolarizing probability in (0, 1]. The budgets' constants grow like
     1/p, so 0 is ZeroNoise unless `allow_zero` (a channel's identity map)."""
+    if type(p) is not float:
+        p = _real(p, "depolarizing probability p")
     if not 0.0 < p <= 1.0 and not (allow_zero and p == 0.0):
         if p == 0.0:
             raise ZeroNoiseError("ZeroNoise: depolarizing probability 0 gives an unbounded constant")
@@ -125,15 +139,19 @@ def check_noise(p, allow_zero: bool = False):
     return p
 
 
-def check_cutoff(c):
+def check_cutoff(c) -> float:
     """Tail cutoff c, positive and finite."""
+    if type(c) is not float:
+        c = _real(c, "cutoff c")
     if not 0.0 < c < math.inf:
         raise OutOfRangeError(f"OutOfRange: cutoff c={c} must be positive and finite")
     return c
 
 
-def check_delta(delta, supremum: float = math.inf):
+def check_delta(delta, supremum: float = math.inf) -> float:
     """Tail mass delta inside (0, supremum), so finite."""
+    if type(delta) is not float:
+        delta = _real(delta, "delta")
     if not 0.0 < delta < supremum:
         raise DeltaOutOfRangeError(f"DeltaOutOfRange: delta={delta} not inside (0, {supremum:.12g})")
     return delta

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shotdp import make_density, make_projector
+
+# Property tests draw the same examples on every run, and replay no saved failures.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def random_density(rng, dim):

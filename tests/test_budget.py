@@ -393,6 +393,18 @@ class TestBudgetInputsValidation:
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10.5, mu=0.15)
 
+    @pytest.mark.parametrize("field", ["d", "mu", "p", "c", "delta"])
+    @pytest.mark.parametrize("value", [True, False, "abc", "0.1", [0.1]])
+    def test_real_parameters_reject_bools_and_non_numbers(self, field, value):
+        base = {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, "c": 0.05}
+        with pytest.raises(OutOfRangeError):
+            BudgetInputs(**{**base, field: value})
+
+    def test_real_parameters_stored_as_float(self):
+        inp = BudgetInputs(d=0, r=1, n=10, mu=np.float32(0.25), p=1, D=2, delta=np.float64(0.01))
+        assert (inp.d, inp.mu, inp.p, inp.delta) == (0.0, 0.25, 1.0, 0.01)
+        assert all(type(v) is float for v in (inp.d, inp.mu, inp.p, inp.delta))
+
     def test_nonfinite_tail_parameters_rejected(self):
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("inf"))

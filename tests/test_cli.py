@@ -85,6 +85,20 @@ class TestComputeCommand:
             assert main(["compute", "--config", str(cfg)]) == rc
         assert json.loads(capsys.readouterr().out)["inputs"]["n"] == 10
 
+    @pytest.mark.parametrize("key", ["d", "mu", "p", "c", "delta"])
+    @pytest.mark.parametrize("value", [True, "abc", [0.1]])
+    def test_config_reals_are_validated_not_coerced(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, key: value}))
+        assert main(["compute", "--config", str(cfg)]) == 2
+        assert "OutOfRange" in capsys.readouterr().err
+
+    def test_integer_config_real_prints_as_float(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"d": 0, "r": 1, "n": 10, "mu": 0.15}))
+        assert main(["compute", "--config", str(cfg)]) == 0
+        assert '"d": 0.0,' in capsys.readouterr().out
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--out", str(out)])
@@ -258,6 +272,14 @@ class TestAuditCommand:
         rc = main(["audit", "--trials", "2000", "--format", "csv"])
         assert rc == 2
         assert "json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["d", "p"])
+    @pytest.mark.parametrize("value", [True, "abc"])
+    def test_config_reals_are_validated_not_coerced(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value, "trials": 2000}))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert "OutOfRange" in capsys.readouterr().err
 
     def test_degenerate_construction_exits_two(self, capsys):
         rc = main(["audit", "--state", "basis:0", "--trials", "2000"])

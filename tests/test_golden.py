@@ -39,6 +39,9 @@ for _name, _args in _SWEEP.items():
     for _fmt in ("csv", "json"):
         CASES[f"sweep_{_name}.{_fmt}"] = ["sweep", *_args, "--format", _fmt]
 CASES["audit_default.json"] = ["audit"]
+# A clipped window holding both boundary counts, and an interior-only window.
+CASES["audit_n3.json"] = ["audit", "--n", "3"]
+CASES["audit_n200_d0.05.json"] = ["audit", "--n", "200", "--d", "0.05", "--trials", "1000"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
