@@ -7,11 +7,16 @@ Four budgets are provided, indexed by noise regime and accounting style:
     epsilon_delta_noiseless    (epsilon, delta) with a 3-sigma tail cutoff
     epsilon_delta_depolarizing (epsilon, delta) under depolarizing noise
 
-All four consume a `BudgetInputs` bundle and return a `PrivacyReport`
-carrying the numbers plus warning flags for regimes where a formula is
-outside its comfort zone. `mu` is always the smaller of the two outcome
-means being distinguished. The tail cutoff `c` and the tail mass `delta`
-are interchangeable through `delta_from_c` / `c_from_delta`.
+Each accounting style is one scalar kernel on checked numbers: `_pure` and
+`_tail` take the regime, the fields d, r, n, mu, p, D, c, delta and the
+convention, and return (epsilon, delta, c, flags). The public functions
+check a `BudgetInputs` bundle, call a kernel and return a `PrivacyReport`
+with warning flags for regimes where a formula is outside its comfort zone;
+`shots_for_budget` calls the pure kernel per candidate shot count, and CLI
+sweeps check each axis value with its validator in `_FIELD_CHECKS` and map a
+kernel over the axis. `mu` is always the smaller of the two outcome means.
+The tail cutoff `c` and the tail mass `delta` are interchangeable through
+`delta_from_c` / `c_from_delta`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,20 @@ erfc = math.erfc
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _normal_quantile = NormalDist().inv_cdf
+
+# Each field's one validator, in the kernels' argument order. BudgetInputs
+# and the command line's sweeps both read this table.
+_FIELD_CHECKS = {
+    "d": check_distance,
+    "r": lambda r: check_count(r, "rank r"),
+    "n": lambda n: check_count(n, "shots n"),
+    "mu": check_mean,
+    "p": check_noise,
+    "D": lambda dim: check_count(dim, "dimension D"),
+    "c": check_cutoff,
+    "delta": check_delta,
+}
+_REQUIRED = ("d", "r", "n", "mu")
 
 
 @dataclass(frozen=True)
@@ -81,22 +100,11 @@ class BudgetInputs:
     delta: float | None = None
 
     def __post_init__(self):
-        checked = {
-            "d": check_distance(self.d),
-            "r": check_count(self.r, "rank r"),
-            "n": check_count(self.n, "shots n"),
-            "mu": check_mean(self.mu),
-        }
-        if self.p is not None:
-            checked["p"] = check_noise(self.p)
-        if self.D is not None:
-            checked["D"] = check_count(self.D, "dimension D")
-        if self.c is not None:
-            checked["c"] = check_cutoff(self.c)
-        if self.delta is not None:
-            checked["delta"] = check_delta(self.delta)
         # The instance is frozen, so the checked values go straight into its dict.
-        self.__dict__.update(checked)
+        fields = self.__dict__
+        for name, check in _FIELD_CHECKS.items():
+            if fields[name] is not None or name in _REQUIRED:
+                fields[name] = check(fields[name])
 
 
 @dataclass(frozen=True)
@@ -121,18 +129,16 @@ def _value_flags(epsilon: float, flags: list[str]) -> tuple[str, ...]:
     return tuple(flags)
 
 
+def _depolarizing_scale(p: float, d: float, r: int, dim: int) -> float:
+    return ((1.0 - p) / p) * d * r * dim
+
+
 def depolarizing_constant(p: float, d: float, r: int, dim: int) -> float:
     """Scale ((1-p)/p) d r dim entering the depolarizing budgets.
 
     Grows without bound as p -> 0+, so p = 0 is rejected as ZeroNoise.
     """
-    if p is None or dim is None:
-        raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
-    p = check_noise(p)
-    d = check_distance(d)
-    r = check_count(r, "rank r")
-    dim = check_count(dim, "dimension D")
-    return ((1.0 - p) / p) * d * r * dim
+    return _depolarizing_scale(check_noise(p), check_distance(d), check_count(r, "rank r"), check_count(dim, "dimension D"))
 
 
 def expectation_ratio_bound(mu1: float, d: float, p: float, dim: int) -> float:
@@ -141,61 +147,27 @@ def expectation_ratio_bound(mu1: float, d: float, p: float, dim: int) -> float:
     return check_mean(mu1, "mean mu1") * (1.0 + depolarizing_constant(p, d, 1, dim))
 
 
-def _pure_terms(inp: BudgetInputs, regime: str) -> tuple[float, float]:
-    """Scale and quadratic coefficient of the pure budget for `regime`.
-
-    The pure budget is scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ];
-    neither coefficient depends on n, and both are nonnegative.
-    """
-    if regime == "noiseless":
-        dr = inp.d * inp.r
-        return dr / ((1.0 - inp.mu) * inp.mu), dr * (inp.mu + dr)
-    if regime == "depolarizing":
-        a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-        return a / (1.0 - inp.mu), a * inp.mu * inp.mu * (1.0 + a)
-    raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
-
-
-def _pure_report(inp: BudgetInputs, scale: float, quadratic: float) -> PrivacyReport:
-    """Shared pure budget scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ]."""
-    mu = inp.mu
-    eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(inp.n) + quadratic * inp.n / (1.0 - mu))
-    flags = ["RegimeNegativeTerm"] if mu > 0.5 else []
-    return PrivacyReport(epsilon=eps, delta=0.0, warnings=_value_flags(eps, flags), inputs=inp)
-
-
-def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
-    """Pure-epsilon budget for a noiseless circuit.
-
-        eps = (d r / ((1-mu) mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
-                                    + d r (mu + d r) n / (1-mu) ]
-
-    The first bracket term goes negative for mu > 1/2; the report flags
-    that regime rather than adjusting the value.
-    """
-    return _pure_report(inp, *_pure_terms(inp, "noiseless"))
-
-
-def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
-    """Pure-epsilon budget under depolarizing noise.
-
-    With a = ((1-p)/p) d r D,
-
-        eps = (a / (1-mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
-                             + a mu^2 (1+a) n / (1-mu) ]
-    """
-    return _pure_report(inp, *_pure_terms(inp, "depolarizing"))
-
-
 def _sigma(mu: float, n: int) -> float:
     """Standard deviation sqrt(mu(1-mu)/n) of the n-shot sample mean."""
     return math.sqrt(mu * (1.0 - mu) / n)
 
 
 def _tail_mass(c: float, sigma: float, paper: bool) -> float:
-    """delta_from_c on validated inputs, without the DeltaExceedsOne warning."""
+    """delta_from_c on checked inputs, without the DeltaExceedsOne warning."""
     tail = math.erfc(c / (math.sqrt(2.0) * sigma))
     return _SQRT_2PI * sigma * tail if paper else tail
+
+
+def _cutoff(delta, sigma: float, paper: bool) -> float:
+    """c_from_delta on checked mu, n and convention; delta is checked here,
+    against the supremum that sigma sets."""
+    supremum = _SQRT_2PI * sigma if paper else 1.0
+    check_delta(delta, supremum)
+    # delta / supremum rounds below 1, so the argument stays below 1/2 and c > 0.
+    quantile = 0.5 * (delta / supremum)
+    if quantile == 0.0:
+        raise DeltaOutOfRangeError(f"DeltaOutOfRange: delta={delta} is too small to invert in double precision")
+    return -sigma * _normal_quantile(quantile)
 
 
 def delta_from_c(c: float, mu: float, n: int, convention: str = "paper") -> float:
@@ -211,10 +183,7 @@ def delta_from_c(c: float, mu: float, n: int, convention: str = "paper") -> floa
     DeltaExceedsOne is emitted in that case and the value is returned
     as computed. Past about 38 sigma the tail underflows to 0.0.
     """
-    check_cutoff(c)
-    mu = check_mean(mu)
-    n = check_count(n, "shots n")
-    value = _tail_mass(c, _sigma(mu, n), check_convention(convention))
+    value = _tail_mass(check_cutoff(c), _sigma(check_mean(mu), check_count(n, "shots n")), check_convention(convention))
     if value > 1.0:
         _warnings.warn(f"DeltaExceedsOne: delta={value:.6g} under the {convention} convention", RuntimeWarning, stacklevel=2)
     return value
@@ -234,31 +203,48 @@ def c_from_delta(delta: float, mu: float, n: int, convention: str = "paper") -> 
     normalized), at or below 0, or so small that the quantile argument
     underflows to 0 raise DeltaOutOfRangeError.
     """
-    mu = check_mean(mu)
-    n = check_count(n, "shots n")
-    paper = check_convention(convention)
+    return _cutoff(delta, _sigma(check_mean(mu), check_count(n, "shots n")), check_convention(convention))
+
+
+def _pure_coefficients(regime: str, d: float, r: int, mu: float, p, dim) -> tuple[float, float]:
+    """Scale and quadratic coefficient of the pure budget; neither depends
+    on n, and both are nonnegative."""
+    if regime == "noiseless":
+        dr = d * r
+        return dr / ((1.0 - mu) * mu), dr * (mu + dr)
+    a = _depolarizing_scale(p, d, r, dim)
+    return a / (1.0 - mu), a * mu * mu * (1.0 + a)
+
+
+def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tuple:
+    """Pure budget kernel: scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ].
+
+    Takes the same arguments as `_tail`, so that a caller can hold either;
+    delta and paper are unused and c passes through.
+    """
+    scale, quadratic = _pure_coefficients(regime, d, r, mu, p, D)
+    eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(n) + quadratic * n / (1.0 - mu))
+    return eps, 0.0, c, _value_flags(eps, ["RegimeNegativeTerm"] if mu > 0.5 else [])
+
+
+def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
+    """(epsilon, delta) budget kernel: scale [ (1 - 2mu - u) c^2 / (2 mu (1 - mu - u)) + c + u/2 ].
+
+    Noiseless, u = n d r and scale = u / (mu (1-mu)); under depolarizing
+    noise, u = n a and scale = a / (1-mu). Exactly one of c and delta is
+    given, and the other is derived through the Gaussian tail formula.
+    """
     sigma = _sigma(mu, n)
-    supremum = _SQRT_2PI * sigma if paper else 1.0
-    check_delta(delta, supremum)
-    # delta / supremum rounds below 1, so the argument stays below 1/2 and c > 0.
-    quantile = 0.5 * (delta / supremum)
-    if quantile == 0.0:
-        raise DeltaOutOfRangeError(f"DeltaOutOfRange: delta={delta} is too small to invert in double precision")
-    return -sigma * _normal_quantile(quantile)
-
-
-def _tail_report(inp: BudgetInputs, convention: str, scale: float, u: float) -> PrivacyReport:
-    """Shared (epsilon, delta) budget: prefactor `scale`, pole at 1 - mu - u,
-    with the one supplied tail parameter turned into the (c, delta) pair."""
-    if (inp.c is None) == (inp.delta is None):
-        raise BadConfigError("BadConfig: supply exactly one of c and delta")
-    mu = inp.mu
-    if inp.c is not None:
-        c = inp.c
-        delta = _tail_mass(c, _sigma(mu, inp.n), check_convention(convention))
+    if c is None:
+        c = _cutoff(delta, sigma, paper)
     else:
-        delta = inp.delta
-        c = c_from_delta(delta, mu, inp.n, convention)
+        delta = _tail_mass(c, sigma, paper)
+    if regime == "noiseless":
+        u = n * d * r
+        scale = u / (mu * (1.0 - mu))
+    else:
+        a = _depolarizing_scale(p, d, r, D)
+        scale, u = a / (1.0 - mu), n * a
     flags = ["DeltaExceedsOne"] if delta > 1.0 else ["DeltaUnderflow"] if delta == 0.0 else []
     denom = 1.0 - mu - u
     if denom <= 0.0:
@@ -267,7 +253,49 @@ def _tail_report(inp: BudgetInputs, convention: str, scale: float, u: float) -> 
         eps = float("-inf") if scale > 0.0 else 0.0
     else:
         eps = scale * ((1.0 - 2.0 * mu - u) * c * c / (2.0 * mu * denom) + c + u / 2.0)
-    return PrivacyReport(epsilon=eps, delta=float(delta), warnings=_value_flags(eps, flags), inputs=replace(inp, c=c))
+    return eps, delta, c, _value_flags(eps, flags)
+
+
+def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> list:
+    """The kernel's arguments from a checked bundle, after the checks that
+    depend on the budget: a known regime, p and D under depolarizing noise,
+    and exactly one of c and delta for a tail budget."""
+    if regime not in ("noiseless", "depolarizing"):
+        raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
+    if regime == "depolarizing" and (inp.p is None or inp.D is None):
+        raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
+    if kernel is _tail and (inp.c is None) == (inp.delta is None):
+        raise BadConfigError("BadConfig: supply exactly one of c and delta")
+    return [inp.d, inp.r, inp.n, inp.mu, inp.p, inp.D, inp.c, inp.delta, check_convention(convention)]
+
+
+def _evaluate(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
+    """Checked bundle -> kernel -> report, whose inputs carry a derived c."""
+    epsilon, delta, c, flags = kernel(regime, *_arguments(kernel, regime, inp, convention))
+    return PrivacyReport(epsilon, delta, flags, inp if c is inp.c else replace(inp, c=c))
+
+
+def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
+    """Pure-epsilon budget for a noiseless circuit.
+
+        eps = (d r / ((1-mu) mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
+                                    + d r (mu + d r) n / (1-mu) ]
+
+    The first bracket term goes negative for mu > 1/2; the report flags
+    that regime rather than adjusting the value.
+    """
+    return _evaluate(_pure, "noiseless", inp)
+
+
+def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
+    """Pure-epsilon budget under depolarizing noise.
+
+    With a = ((1-p)/p) d r D,
+
+        eps = (a / (1-mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
+                             + a mu^2 (1+a) n / (1-mu) ]
+    """
+    return _evaluate(_pure, "depolarizing", inp)
 
 
 def epsilon_delta_noiseless(inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
@@ -283,8 +311,7 @@ def epsilon_delta_noiseless(inp: BudgetInputs, convention: str = "paper") -> Pri
     gives a delta of 0.0 (the tail is below the smallest double); values
     are returned as computed.
     """
-    u = inp.n * inp.d * inp.r
-    return _tail_report(inp, convention, u / (inp.mu * (1.0 - inp.mu)), u)
+    return _evaluate(_tail, "noiseless", inp, convention)
 
 
 def epsilon_delta_depolarizing(inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
@@ -298,8 +325,7 @@ def epsilon_delta_depolarizing(inp: BudgetInputs, convention: str = "paper") -> 
     Same flag semantics as the noiseless variant, with the pole at
     1 - mu - n a.
     """
-    a = depolarizing_constant(inp.p, inp.d, inp.r, inp.D)
-    return _tail_report(inp, convention, a / (1.0 - inp.mu), inp.n * a)
+    return _evaluate(_tail, "depolarizing", inp, convention)
 
 
 def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "noiseless") -> int:
@@ -321,17 +347,18 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
     """
     if not target_epsilon > 0.0:
         raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive")
-    scale, quadratic = _pure_terms(inp, regime)
+    d, r, _, mu, p, dim = _arguments(_pure, regime, inp)[:6]
+    scale, quadratic = _pure_coefficients(regime, d, r, mu, p, dim)
     if scale == 0.0:
         raise BadConfigError("BadConfig: epsilon is identically zero, every shot count fits the budget")
 
     def evaluate(n: int) -> float:
-        return _pure_report(replace(inp, n=n), scale, quadratic).epsilon
+        return _pure(regime, d, r, n, mu, p, dim)[0]
 
     if evaluate(1) > target_epsilon:
         raise UnattainableError(f"Unattainable: epsilon({1}) = {evaluate(1):.6g} already exceeds {target_epsilon}")
-    q = quadratic / (1.0 - inp.mu)
-    c0 = 4.5 * (1.0 - 2.0 * inp.mu) - target_epsilon / scale
+    q = quadratic / (1.0 - mu)
+    c0 = 4.5 * (1.0 - 2.0 * mu) - target_epsilon / scale
     s = -2.0 * c0 / (1.5 + math.sqrt(2.25 - 4.0 * q * c0))
     n = max(int(s * s), 1)
     # Shot counts that round to one double share a budget: past 2**53, step by their spacing.

@@ -8,7 +8,13 @@ Commands:
     audit     build states, measure, audit    -> JSON
 
 Parameters come from inline flags or a flat JSON --config file (inline
-flags win). Every float is emitted with 10 significant digits through one
+flags win). One table, `_COMMANDS`, lists the keys each command accepts;
+it builds the flags and checks the config file, so any other key exits 2
+and is named. The budget commands are a thin table over the kernels in
+`budget`: each names a (kernel, regime) pair, `compute` evaluates one
+checked bundle, and a sweep or figure checks its fixed parameters once,
+each axis value with that field's validator, then maps the kernel over the
+axis. Every float is emitted with 10 significant digits through one
 formatter, so JSON and CSV encode identical values and reruns are
 byte-identical. Exit codes: 0 success, 2 configuration or validation
 error, 3 audit dominance failure.
@@ -20,19 +26,12 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
 from .audit import dominance_audit, exact_epsilon, min_expectation, monte_carlo_audit, qdp_check
-from .budget import (
-    BudgetInputs,
-    PrivacyReport,
-    epsilon_delta_depolarizing,
-    epsilon_delta_noiseless,
-    epsilon_depolarizing,
-    epsilon_noiseless,
-)
+from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_noise
 from .states import (
     basis_columns,
@@ -67,10 +66,6 @@ def _fmt(x) -> str:
     return f"{float(x):.10g}"
 
 
-def _round10(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _jsonify(obj):
     """Recursively coerce report structures into JSON-stable primitives."""
     if isinstance(obj, dict):
@@ -82,7 +77,7 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _round10(float(obj))
+        return float(_fmt(obj))
     return obj
 
 
@@ -123,56 +118,38 @@ def _grid_values(start: float, stop: float, step: float, integer: bool) -> list:
             raise BadConfigError(f"BadConfig: axis needs an integer grid, got {start}:{stop}:{step}")
         return list(range(lo, hi + 1, inc))
     values = []
-    i = 0
     # Index-based stepping keeps the grid free of accumulated float drift.
-    while True:
-        v = start + i * step
-        if v > stop + step * 1e-9:
-            break
+    while (v := start + len(values) * step) <= stop + step * 1e-9:
         values.append(v)
-        i += 1
     return values
 
 
-def _input_kwargs(params: dict) -> dict:
-    """The BudgetInputs fields present in `params`; d, r, n and mu are required."""
-    missing = [k for k in ("d", "r", "n", "mu") if params.get(k) is None]
+def _inputs(params: dict) -> BudgetInputs:
+    """The checked bundle of the budget fields in `params`; d, r, n and mu are required."""
+    missing = [k for k in _REQUIRED if params.get(k) is None]
     if missing:
         raise BadConfigError(f"BadConfig: missing required parameters {missing}")
-    return {k: params[k] for k in ("d", "r", "n", "mu", "p", "D", "c", "delta") if params.get(k) is not None}
+    return BudgetInputs(**{k: params[k] for k in _FIELD_CHECKS if params.get(k) is not None})
 
 
-def _select_budget(params: dict):
-    """Pick the formula family from the regime and tail parameters."""
-    regime = params.get("regime") or "noiseless"
-    if regime not in ("noiseless", "depolarizing"):
-        raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
+def _select_budget(params: dict) -> tuple:
+    """The (kernel, regime) pair: a tail parameter selects the tail kernel.
+    `budget._arguments` rejects an unknown regime."""
     tail = params.get("c") is not None or params.get("delta") is not None
-    convention = params.get("convention") or "paper"
-    if regime == "noiseless":
-        if tail:
-            return lambda inp: epsilon_delta_noiseless(inp, convention)
-        return epsilon_noiseless
-    if tail:
-        return lambda inp: epsilon_delta_depolarizing(inp, convention)
-    return epsilon_depolarizing
+    return (_tail if tail else _pure), params.get("regime") or "noiseless"
 
 
 def _report_json(report: PrivacyReport) -> str:
     inputs = {k: v for k, v in asdict(report.inputs).items() if v is not None}
-    payload = {
-        "epsilon": report.epsilon,
-        "delta": report.delta,
-        "warnings": list(report.warnings),
-        "inputs": inputs,
-    }
+    payload = {"epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings), "inputs": inputs}
     return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
 
 def run_compute(cfg: RunConfig) -> str:
     """Evaluate one budget and serialize the report."""
-    evaluate = _select_budget(cfg.params)
-    report = evaluate(BudgetInputs(**_input_kwargs(cfg.params)))
+    params = cfg.params
+    kernel, regime = _select_budget(params)
+    report = _evaluate(kernel, regime, _inputs(params), params.get("convention") or "paper")
     fmt = cfg.format or "json"
     if fmt == "json":
         return _report_json(report)
@@ -181,22 +158,27 @@ def run_compute(cfg: RunConfig) -> str:
     raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
 
 
-# Output columns of sweeps and figures, as paths into a PrivacyReport.
-_COLUMN_PATHS = {"epsilon": "epsilon", "delta": "delta", "c": "inputs.c", "warnings": "warnings"}
+# A kernel's results, in order; sweeps and figures print some of them.
+_OUTPUTS = ("epsilon", "delta", "c", "warnings")
 _SWEEP_COLUMNS = ("epsilon", "delta", "warnings")
 
 
-def _sweep_rows(evaluate, params: dict, axis: str, values, columns: tuple[str, ...]) -> list[tuple]:
+def _sweep_rows(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]) -> list[tuple]:
     """Evaluate one budget along an axis: per value, a row of the value and
-    then `columns` of its report (two or more, "warnings" last)."""
+    then `columns` of the kernel's results (two or more, "warnings" last).
+
+    The fixed parameters are checked once, as a bundle at the first value,
+    and each value by its field's validator; the kernel then maps over them.
+    """
     if not values:
         return []
-    kwargs = _input_kwargs({**params, axis: values[0]})
-    read = attrgetter(*(_COLUMN_PATHS[column] for column in columns))
+    args = _arguments(kernel, regime, _inputs({**params, axis: values[0]}), params.get("convention") or "paper")
+    slot, check = list(_FIELD_CHECKS).index(axis), _FIELD_CHECKS[axis]
+    pick = itemgetter(*map(_OUTPUTS.index, columns))
     rows = []
     for v in values:
-        kwargs[axis] = v
-        rows.append((v, *read(evaluate(BudgetInputs(**kwargs)))))
+        args[slot] = check(v)
+        rows.append((v, *pick(kernel(regime, *args))))
     return rows
 
 
@@ -213,9 +195,9 @@ def run_sweep(cfg: RunConfig) -> str:
     if fmt not in ("csv", "json"):
         raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
     values = _grid_values(*cfg.grid, integer=axis == "n")
-    evaluate = _select_budget({**cfg.params, axis: values[0] if values else None})
+    kernel, regime = _select_budget({**cfg.params, axis: values[0] if values else None})
     header = [axis, *_SWEEP_COLUMNS]
-    rows = _sweep_rows(evaluate, cfg.params, axis, values, _SWEEP_COLUMNS)
+    rows = _sweep_rows(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
     if fmt == "csv":
         return _csv_rows(header, rows)
     return json.dumps(_jsonify([dict(zip(header, row)) for row in rows]), sort_keys=True, indent=2) + "\n"
@@ -223,15 +205,15 @@ def run_sweep(cfg: RunConfig) -> str:
 
 _SHOT_AXIS = tuple(range(5, 101))
 # The bundled reference sweeps, all at d = 0.1, r = 1, mu = 0.15:
-# name -> (budget, other fixed parameters, axis, default axis values, columns after the axis).
+# name -> (kernel, regime, other fixed parameters, axis, default axis values, columns after the axis).
 _FIGURES = {
-    "fig3": (epsilon_noiseless, {}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
-    "fig4a": (epsilon_depolarizing, {"n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
+    "fig3": (_pure, "noiseless", {}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig4a": (_pure, "depolarizing", {"n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
               ("epsilon", "warnings")),
-    "fig4b": (epsilon_depolarizing, {"p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
-    "fig5a": (epsilon_delta_noiseless, {"n": 10}, "delta", tuple(np.logspace(-4, -1, 40).tolist()),
+    "fig4b": (_pure, "depolarizing", {"p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig5a": (_tail, "noiseless", {"n": 10}, "delta", tuple(np.logspace(-4, -1, 40).tolist()),
               ("c", "epsilon", "warnings")),
-    "fig5b": (epsilon_delta_noiseless, {"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig5b": (_tail, "noiseless", {"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
 }
 
 
@@ -248,11 +230,11 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     """
     if which not in _FIGURES:
         raise BadConfigError(f"BadConfig: unknown figure {which!r}")
-    budget, fixed, axis, values, columns = _FIGURES[which]
+    kernel, regime, fixed, axis, values, columns = _FIGURES[which]
     if grid is not None:
         values = _grid_values(*grid, integer=axis == "n")
     params = {"d": 0.1, "r": 1, "mu": 0.15, **fixed}
-    text = _csv_rows([axis, *columns], _sweep_rows(budget, params, axis, values, columns))
+    text = _csv_rows([axis, *columns], _sweep_rows(kernel, regime, params, axis, values, columns))
     _emit(text, out)
     return text
 
@@ -352,9 +334,30 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     return text, code
 
 
-_FLOAT_KEYS = ("d", "mu", "p", "c", "delta")
-_INT_KEYS = ("r", "n", "D", "dim", "trials")
-_STR_KEYS = ("regime", "convention", "axis", "which", "state", "anchor", "projector", "format", "out", "grid")
+# Every key, as an inline flag and as a config-file key, with its flag's options.
+_KEY_OPTIONS = {
+    **{key: {"type": float} for key in ("d", "mu", "p", "c", "delta")},
+    **{key: {"type": int} for key in ("r", "n", "D", "dim", "trials", "seed")},
+    "regime": {"choices": ["noiseless", "depolarizing"]},
+    "convention": {"choices": ["paper", "normalized"]},
+    "format": {"choices": ["json", "csv"]},
+    "out": {},
+    "grid": {"help": "start:stop:step"},
+    "axis": {"choices": list(GRID_AXES)},
+    "which": {"choices": list(_FIGURES)},
+    "state": {"help": "basis:<j> or diag:a,b,..."},
+    "anchor": {"help": "mixed, basis:<j>, or diag:a,b,..."},
+    "projector": {"help": "comma-separated basis indices"},
+}
+_BUDGET_KEYS = ("d", "r", "n", "mu", "p", "D", "c", "delta", "regime", "convention")
+# command -> (help, the keys it accepts); any other key exits 2.
+_COMMANDS = {
+    "compute": ("evaluate one budget", (*_BUDGET_KEYS, "format", "out")),
+    "sweep": ("evaluate a budget along one axis", (*_BUDGET_KEYS, "axis", "grid", "format", "out")),
+    "figures": ("write one bundled reference sweep as CSV", ("which", "grid", "out")),
+    "audit": ("state-to-verdict audit run",
+              ("dim", "d", "n", "p", "trials", "seed", "state", "anchor", "projector", "format", "out")),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -369,18 +372,14 @@ def _load_config(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Config file first, inline flags on top."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config))
-    for key in (*_FLOAT_KEYS, *_INT_KEYS, *_STR_KEYS, "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    params = {key: value for key, value in merged.items() if key not in ("seed", "out", "format", "grid")}
-    unknown = set(merged) - set(_FLOAT_KEYS) - set(_INT_KEYS) - set(_STR_KEYS) - {"seed"}
+    """Config file first, inline flags on top; only the command's own keys."""
+    keys = _COMMANDS[args.command][1]
+    merged = _load_config(args.config) if args.config else {}
+    unknown = sorted(set(merged) - set(keys))
     if unknown:
-        raise BadConfigError(f"BadConfig: unknown configuration keys {sorted(unknown)}")
+        raise BadConfigError(f"BadConfig: unknown configuration keys {unknown} for {args.command}")
+    merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    params = {key: value for key, value in merged.items() if key not in ("seed", "out", "format", "grid")}
     grid = merged.get("grid")
     return RunConfig(
         command=args.command,
@@ -395,36 +394,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shotdp", description="Shot-noise privacy budgets, sweeps, and audits")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, (help_text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         sp.add_argument("--config", help="flat JSON file with any of the flags below")
-        for key in _FLOAT_KEYS:
-            sp.add_argument(f"--{key}", type=float)
-        for key in ("r", "n", "D", "dim", "trials"):
-            sp.add_argument(f"--{key}", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--convention", choices=["paper", "normalized"])
-        sp.add_argument("--regime", choices=["noiseless", "depolarizing"])
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["json", "csv"])
-        sp.add_argument("--grid", help="start:stop:step")
-
-    compute = sub.add_parser("compute", help="evaluate one budget")
-    add_common(compute)
-
-    sweep = sub.add_parser("sweep", help="evaluate a budget along one axis")
-    add_common(sweep)
-    sweep.add_argument("--axis", choices=list(GRID_AXES))
-
-    figures = sub.add_parser("figures", help="write one bundled reference sweep as CSV")
-    add_common(figures)
-    figures.add_argument("--which", choices=list(_FIGURES))
-
-    audit = sub.add_parser("audit", help="state-to-verdict audit run")
-    add_common(audit)
-    audit.add_argument("--state", help="basis:<j> or diag:a,b,...")
-    audit.add_argument("--anchor", help="mixed, basis:<j>, or diag:a,b,...")
-    audit.add_argument("--projector", help="comma-separated basis indices")
+        for key in keys:
+            sp.add_argument(f"--{key}", **_KEY_OPTIONS[key])
     return parser
 
 
@@ -433,11 +407,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if cfg.command == "compute":
-            _emit(run_compute(cfg), cfg.output_path)
-            return 0
-        if cfg.command == "sweep":
-            _emit(run_sweep(cfg), cfg.output_path)
+        if cfg.command in ("compute", "sweep"):
+            _emit((run_compute if cfg.command == "compute" else run_sweep)(cfg), cfg.output_path)
             return 0
         if cfg.command == "figures":
             which = cfg.params.get("which")
@@ -447,13 +418,11 @@ def main(argv=None) -> int:
                 raise BadConfigError("BadConfig: figures needs --out")
             run_figures(which, cfg.output_path, cfg.grid)
             return 0
-        if cfg.command == "audit":
-            if cfg.format not in (None, "json"):
-                raise BadConfigError("BadConfig: audit reports are nested; only json output is supported")
-            text, code = run_audit(cfg)
-            _emit(text, cfg.output_path)
-            return code
-        raise BadConfigError(f"BadConfig: unknown command {cfg.command!r}")
+        if cfg.format not in (None, "json"):
+            raise BadConfigError("BadConfig: audit reports are nested; only json output is supported")
+        text, code = run_audit(cfg)
+        _emit(text, cfg.output_path)
+        return code
     except ShotDPError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -95,18 +95,21 @@ def log_likelihood_ratio(x: float, mu0: float, mu1: float, n: int) -> float:
                         - 1 / (2 (1-mu0)(1-mu1)) ]
 
     The bracket is symmetric in (mu0, mu1) and is evaluated from the sorted
-    pair, so swapping the hypotheses flips exactly one sign: antisymmetry is
-    bit-exact. The shot count multiplies last, so scaling in n is exact too.
-    The kernels are unnormalized: no log-sigma term appears.
+    pair as ((1-lo-hi)/2 (x/lo)(x/hi) + x - 1/2) / ((1-lo)(1-hi)), which
+    forms no product of the means, so tiny means cannot divide by an
+    underflowed zero. Swapping the hypotheses flips exactly one sign:
+    antisymmetry is bit-exact; equal means give exactly 0. The shot count
+    multiplies last, so scaling in n is exact too. The kernels are
+    unnormalized: no log-sigma term appears.
     """
     x = check_mean(x, "sample mean x", allow_endpoints=True)
     mu0 = check_mean(mu0, "mean mu0")
     mu1 = check_mean(mu1, "mean mu1")
     n = check_count(n, "shots n")
+    if mu0 == mu1:
+        return 0.0
     lo, hi = (mu0, mu1) if mu0 <= mu1 else (mu1, mu0)
-    edge = (1.0 - lo) * (1.0 - hi)
-    quad = (1.0 - lo - hi) / (2.0 * lo * hi * edge)
-    bracket = quad * x * x + x / edge - 1.0 / (2.0 * edge)
+    bracket = ((0.5 * (1.0 - lo - hi)) * (x / lo) * (x / hi) + x - 0.5) / ((1.0 - lo) * (1.0 - hi))
     return n * ((mu0 - mu1) * bracket)
 
 

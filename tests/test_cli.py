@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from shotdp.cli import main
+from shotdp.cli import GRID_AXES, main
 
 
 def rows_of(csv_text):
@@ -160,6 +160,96 @@ class TestSweepCommand:
         rc = main(["sweep", "--config", str(cfg)])
         assert rc == 2
         assert "axis" in capsys.readouterr().err
+
+
+# Dyadic grids, so the printed axis value is the swept value.
+_AXIS_GRIDS = {
+    "n": "5:8:1",
+    "p": "0.25:0.75:0.25",
+    "c": "0.0625:0.25:0.0625",
+    "delta": "0.0009765625:0.00390625:0.0009765625",
+    "d": "0.0078125:0.03125:0.0078125",
+    "mu": "0.125:0.375:0.125",
+}
+_SWEEP_CASES = [
+    (axis, regime, tail)
+    for axis in _AXIS_GRIDS
+    for regime in ("noiseless", "depolarizing")
+    for tail in ((axis,) if axis in ("c", "delta") else (None, "c", "delta"))
+    if axis != "p" or regime == "depolarizing"
+]
+
+
+class TestSweepAgreesWithCompute:
+    """A sweep row is the compute row at that point, and axis values are validated."""
+
+    def test_every_axis_is_covered(self):
+        assert sorted(_AXIS_GRIDS) == sorted(GRID_AXES)
+
+    @pytest.mark.parametrize("axis, regime, tail", _SWEEP_CASES)
+    def test_sweep_row_equals_compute_row(self, axis, regime, tail, capsys):
+        fixed = {"d": "0.01", "r": "1", "n": "10", "mu": "0.15", "regime": regime}
+        if regime == "depolarizing":
+            fixed.update(p="0.5", D="2")
+        if tail is not None:
+            fixed[tail] = {"c": "0.05", "delta": "0.01"}[tail]
+        fixed.pop(axis)
+        flags = [arg for key, value in fixed.items() for arg in (f"--{key}", value)]
+        assert main(["sweep", "--axis", axis, "--grid", _AXIS_GRIDS[axis], *flags]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        start, stop, step = (float(part) for part in _AXIS_GRIDS[axis].split(":"))
+        assert len(rows) == (stop - start) / step + 1
+        for i, row in enumerate(rows):
+            assert float(row[0]) == start + i * step
+            assert main(["compute", *flags, f"--{axis}", row[0], "--format", "csv"]) == 0
+            _, (point,) = rows_of(capsys.readouterr().out)
+            assert row[1:] == point
+
+    @pytest.mark.parametrize("axis, grid, extra, error", [
+        ("mu", "0.5:1.0:0.25", ["--n", "10"], "DegenerateMuError"),
+        ("p", "0:0.5:0.25", ["--n", "10", "--regime", "depolarizing", "--D", "2"], "ZeroNoiseError"),
+        ("d", "0.5:1.5:0.5", ["--n", "10"], "OutOfRangeError"),
+        ("delta", "0.1:0.5:0.2", ["--n", "10"], "DeltaOutOfRangeError"),
+    ])
+    def test_axis_leaving_the_domain_exits_two(self, axis, grid, extra, error, capsys):
+        point = {"d": "0.01", "r": "1", "mu": "0.15"}
+        point.pop(axis, None)
+        flags = [arg for key, value in point.items() for arg in (f"--{key}", value)]
+        assert main(["sweep", "--axis", axis, "--grid", grid, *flags, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {error}: " in captured.err
+
+
+class TestStrictKeys:
+    """Each command accepts only its own keys, as flags and in config files."""
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--mu", "0.3"],
+        ["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--trials", "5"],
+        ["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--grid", "1:2:1"],
+        ["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--seed", "3"],
+        ["figures", "--which", "fig3", "--out", "fig3.csv", "--format", "json"],
+    ])
+    def test_foreign_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("audit", {"trials": 2000, "regime": "depolarizing"}, ["regime"]),
+        ("audit", {"trials": 2000, "mu": "abc", "c": True}, ["c", "mu"]),
+        ("compute", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "seed": 3}, ["seed"]),
+        ("figures", {"which": "fig3", "d": 0.2}, ["d"]),
+    ])
+    def test_foreign_config_key_exits_two(self, command, config, named, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(key) in err for key in named)
+        assert not (tmp_path / "out").exists()
 
 
 class TestFiguresCommand:

@@ -101,11 +101,11 @@ def test_hockey_stick_vanishes_at_exact_epsilon(mu0, mu1, n):
     d=st.floats(min_value=0.0, max_value=1.0),
     r=st.integers(min_value=1, max_value=3),
     n=st.integers(min_value=1, max_value=3000),
-    # Below about 1e-154 the surrogate's 2 mu0 mu1 underflows and
-    # log_likelihood_ratio divides by zero, before the window is built.
-    mu1=st.floats(min_value=1e-100, max_value=1.0, exclude_max=True),
+    mu1=st.floats(min_value=sys.float_info.min, max_value=1.0, exclude_max=True),
     share=st.floats(min_value=0.0, max_value=1.0),
 )
+# Equal means so small that a product of the two underflows to zero.
+@example(d=0.0, r=1, n=1, mu1=1e-170, share=0.0)
 # Windows with an edge count k whose k/n equals mu0 -/+ 3 sigma0 in exact arithmetic.
 @example(d=0.1, r=1, n=196, mu1=0.4, share=1.0)
 @example(d=0.1, r=1, n=150, mu1=0.3, share=1.0)

@@ -129,6 +129,11 @@ class TestLogLikelihoodRatio:
     def test_equal_means_give_zero(self):
         assert log_likelihood_ratio(0.4, 0.3, 0.3, 50) == 0.0
 
+    def test_tiny_means(self):
+        """A product of two means below about 1e-154 underflows; the bracket forms none."""
+        assert log_likelihood_ratio(0.5, 1e-160, 1e-160, 1) == 0.0
+        assert log_likelihood_ratio(0.0, 2e-170, 1e-170, 1) == pytest.approx(-5e-171, rel=1e-12)
+
     def test_convexity_flips_with_mean_sum(self):
         """Second difference in x is positive iff mu0 + mu1 < 1 (for mu0 > mu1)."""
         h = 0.01
