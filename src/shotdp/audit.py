@@ -45,6 +45,8 @@ from .states import Channel, DensityMatrix, Projector, apply_channel, expectatio
 
 # Float slack for comparisons that are exact in real arithmetic.
 _EQ_SLACK = 1e-12
+# e^-750 is below half the smallest subnormal double, so exp rounds it to 0.0.
+_TAIL_LOG = 750.0
 
 MAX_PVM_OUTCOMES = 16
 
@@ -125,19 +127,28 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
 def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     """Smallest valid delta for the exact mechanism at privacy level eps.
 
-    Sums the positive parts of P0(k) - e^eps P1(k) over all outcomes, each
+    Sums the positive parts of P0(k) - e^eps P1(k) over the outcomes, each
     written as P0(k) (1 - e^(eps - llr(k))) with llr = log P0 - log P1 in its
     affine closed form: a term is positive exactly where llr(k) > eps, and no
     term needs e^eps or a probability that has underflowed to 0.0. Decreasing
     in eps; at eps = 0 it is the total-variation distance. Both means must
     lie strictly inside (0, 1).
+
+    Only counts within t = L/3 + sqrt(L^2/9 + 2 L n mu0 (1-mu0)) of n mu0,
+    with L = `_TAIL_LOG`, are summed: by Bernstein's inequality P0 puts less
+    than 2 e^-L on the rest, and every term there rounds to 0.0 in the full
+    sum too. So the window is O(sqrt(n)) counts and drops nothing.
     """
     if not eps >= 0.0:
         raise OutOfRangeError(f"OutOfRange: eps={eps} must be nonnegative")
+    mu0 = check_mean(mu0, "mean mu0")
     n = check_count(n, "shots n")
-    llr = _log_ratio(mu0, mu1, n, np.arange(n + 1))
+    mean = n * mu0
+    reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - mu0))
+    k = np.arange(max(math.ceil(mean - reach), 0), min(math.floor(mean + reach), n) + 1)
+    llr = _log_ratio(mu0, mu1, n, k)
     over = llr > eps
-    return float(np.sum(np.exp(log_binomial_pmf(mu0, n)[over]) * -np.expm1(eps - llr[over])))
+    return float(np.sum(np.exp(log_binomial_pmf(mu0, n, k[over])) * -np.expm1(eps - llr[over])))
 
 
 def min_expectation(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, m: Projector) -> MinExpectation:

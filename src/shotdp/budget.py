@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import (
@@ -270,9 +270,18 @@ def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper"
 
 
 def _evaluate(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
-    """Checked bundle -> kernel -> report, whose inputs carry a derived c."""
+    """Checked bundle -> kernel -> report, whose inputs carry a derived c.
+
+    The echo is a copy of the checked bundle with c set, built without
+    re-running the validators: the other fields are already checked, and a
+    derived c is a positive, finite float.
+    """
     epsilon, delta, c, flags = kernel(regime, *_arguments(kernel, regime, inp, convention))
-    return PrivacyReport(epsilon, delta, flags, inp if c is inp.c else replace(inp, c=c))
+    if c is not inp.c:
+        echo = object.__new__(BudgetInputs)
+        echo.__dict__.update(inp.__dict__, c=c)
+        inp = echo
+    return PrivacyReport(epsilon, delta, flags, inp)
 
 
 def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:

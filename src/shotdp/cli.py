@@ -16,8 +16,9 @@ checked bundle, and a sweep or figure checks its fixed parameters once,
 each axis value with that field's validator, then maps the kernel over the
 axis. Every float is emitted with 10 significant digits through one
 formatter, so JSON and CSV encode identical values and reruns are
-byte-identical. Exit codes: 0 success, 2 configuration or validation
-error, 3 audit dominance failure.
+byte-identical. Exit codes, all returned by `main`: 0 success, 2
+configuration or validation error (an unknown flag included), 3 audit
+dominance failure.
 """
 
 from __future__ import annotations
@@ -403,8 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; argparse's own exits
+    (2 on a bad flag, 0 after --help) are returned too, not raised."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         cfg = _merge_config(args)
         if cfg.command in ("compute", "sweep"):

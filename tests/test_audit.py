@@ -111,6 +111,10 @@ class TestHockeyStick:
         underflows to 0.0 there."""
         assert hockey_stick_delta(0.39354, 0.37212, 10**6, 3180.0) == 0.0
 
+    def test_total_variation_of_separated_laws_is_one(self):
+        """The two laws share no mass at double precision, so TV is exactly 1."""
+        assert hockey_stick_delta(0.25, 0.15, 10**6, 0.0) == 1.0
+
     def test_deep_tail_against_high_precision(self):
         mu0, mu1, n, eps = 0.19816397164651134, 0.04489445877221952, 278, 400.5451322538914
         with mpmath.workdps(50):

@@ -1,6 +1,7 @@
 """Closed-form privacy budgets and tail-cutoff conversions."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -256,6 +257,20 @@ class TestTailBudgets:
         by_delta = epsilon_delta_noiseless(BudgetInputs(d=0.1, r=1, n=5, mu=0.15, delta=by_c.delta))
         assert by_delta.epsilon == pytest.approx(by_c.epsilon, rel=1e-9)
         assert by_delta.inputs.c == pytest.approx(0.3, rel=1e-9)
+
+    @pytest.mark.parametrize("budget, noise", [
+        (epsilon_delta_noiseless, {}),
+        (epsilon_delta_depolarizing, {"p": 0.5, "D": 2}),
+    ])
+    def test_delta_driven_report_echoes_the_derived_cutoff(self, budget, noise):
+        """The echo is the checked bundle with c filled in, as replace() would build it."""
+        inp = BudgetInputs(d=0.01, r=1, n=10, mu=0.15, delta=0.01, **noise)
+        rep = budget(inp, convention="normalized")
+        c = c_from_delta(0.01, 0.15, 10, "normalized")
+        assert rep.inputs == replace(inp, c=c)
+        assert type(rep.inputs) is BudgetInputs and type(rep.inputs.c) is float
+        assert rep.inputs.c == c and inp.c is None
+        assert hash(rep.inputs) == hash(replace(inp, c=c))
 
     def test_exactly_one_of_c_and_delta(self):
         with pytest.raises(BadConfigError, match="exactly one"):

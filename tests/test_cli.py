@@ -232,10 +232,12 @@ class TestStrictKeys:
         ["figures", "--which", "fig3", "--out", "fig3.csv", "--format", "json"],
     ])
     def test_foreign_flag_exits_two(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         assert argv[-2] in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["compute", "--help"]) == 0
+        assert "--delta" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command, config, named", [
         ("audit", {"trials": 2000, "regime": "depolarizing"}, ["regime"]),

@@ -4,7 +4,9 @@ The package computes the exact n-shot epsilon, the dominance audit's window
 and the shot count for a budget in closed form. The brute-force and search
 versions they replaced live here as references: the largest absolute
 difference of the two log pmfs over all n + 1 counts, the window as masks
-over all counts, and doubling then bisection on the budget itself.
+over all counts, and doubling then bisection on the budget itself. The
+binomial law is checked against mpmath's log-gamma, and the windowed
+hockey-stick sum against the sum over all n + 1 counts.
 """
 
 import math
@@ -28,6 +30,7 @@ from shotdp import (
     log_binomial_pmf,
     shots_for_budget,
 )
+from shotdp.audit import _log_ratio
 
 # Means at or above the smallest normal double, where the closed form
 # promises a few units in the last place.
@@ -58,6 +61,17 @@ def mask_window(mu0, n, raw_lower, raw_upper, log_ratio):
         "interior": float(np.max(np.abs(log_ratio[interior]))) if interior.any() else 0.0,
         "full": float(np.max(np.abs(log_ratio[in_window]))) if in_window.any() else 0.0,
     }
+
+
+@st.composite
+def pmf_points(draw):
+    """A mean, a shot count and counts across the support: both ends, one
+    count within 40 standard deviations of the mean, and uniform ones."""
+    mu = draw(st.floats(min_value=1e-300, max_value=1.0 - 1e-16))
+    n = draw(st.integers(min_value=1, max_value=10**7))
+    spread = math.sqrt(n * mu * (1.0 - mu))
+    near = min(max(round(n * mu + draw(st.floats(min_value=-40.0, max_value=40.0)) * spread), 0), n)
+    return mu, n, [0, n, near, *draw(st.lists(st.integers(min_value=0, max_value=n), max_size=3))]
 
 
 def bisection_shots(target, inp, regime):
@@ -145,3 +159,40 @@ def test_shots_for_budget_matches_bisection(regime, d, r, mu, p, dim, shots, str
     except UnattainableError:
         found = None
     assert found == expected
+
+
+@given(point=pmf_points())
+# Counts 36 standard deviations out, where the rounding of n mu and n (1-mu) costs 1.2e-11 uncorrected.
+@example(point=(0.488126935591685, 10**7, [4824364, 4938174]))
+@example(point=(1.0 - 1e-16, 10**7, [10**7 - 1]))
+@example(point=(1e-300, 15, [1]))
+def test_log_binomial_pmf_matches_mpmath(point):
+    """Every probability above 1e-300 is within 1e-11 relative of 40 digits."""
+    mu, n, counts = point
+    got = log_binomial_pmf(mu, n, np.array(counts))
+    with mpmath.workdps(40):
+        a = mpmath.mpf(mu)
+        for k, value in zip(counts, got):
+            reference = (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+                         + k * mpmath.log(a) + (n - k) * mpmath.log1p(-a))
+            if reference > math.log(1e-300):
+                assert abs(mpmath.expm1(value - reference)) <= 1e-11, (k, value, reference)
+
+
+@given(
+    mu0=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    mu1=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+    n=st.integers(min_value=1, max_value=2 * 10**5),
+    share=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(mu0=0.25, mu1=0.15, n=2 * 10**5, share=0.0)
+@example(mu0=0.5, mu1=0.499, n=2 * 10**5, share=0.5)
+def test_windowed_hockey_stick_matches_full_sum(mu0, mu1, n, share):
+    """The window drops no term that the sum over all n + 1 counts keeps,
+    at levels up to the exact epsilon, where only far tail counts are left."""
+    eps = share * exact_epsilon(mu0, mu1, n)
+    counts = np.arange(n + 1)
+    llr = _log_ratio(mu0, mu1, n, counts)
+    over = llr > eps
+    full = float(np.sum(np.exp(log_binomial_pmf(mu0, n)[over]) * -np.expm1(eps - llr[over])))
+    assert abs(hockey_stick_delta(mu0, mu1, n, eps) - full) <= 1e-14 * full

@@ -29,16 +29,16 @@ class TestBinomialDistribution:
     """Exact outcome laws for n projective shots."""
 
     def test_matches_reference_pmf(self):
-        """Cross-check the log-gamma construction against scipy's binomial."""
+        """Cross-check the saddle-point construction against scipy's binomial."""
         for mu, n in ((0.15, 10), (0.5, 7), (0.03, 100), (0.85, 1000)):
             dist = binomial_distribution(mu, n)
             expected = stats.binom.pmf(np.arange(n + 1), n, mu)
             np.testing.assert_allclose(dist.probs, expected, rtol=1e-10, atol=1e-300)
 
     def test_probabilities_sum_to_one(self):
-        for mu, n in ((0.15, 10), (0.25, 200), (0.5, 10000)):
+        for mu, n in ((0.15, 10), (0.25, 200), (0.5, 10000), (0.15, 10**6)):
             dist = binomial_distribution(mu, n)
-            assert abs(dist.probs.sum() - 1.0) <= 1e-12
+            assert abs(dist.probs.sum() - 1.0) <= 1e-15
 
     def test_mean_matches_mu(self):
         for mu, n in ((0.15, 10), (0.3, 500), (0.5, 10000)):
@@ -56,6 +56,21 @@ class TestBinomialDistribution:
         hi = binomial_distribution(1.0, 5)
         assert lo.probs[0] == 1.0 and lo.probs[1:].sum() == 0.0
         assert hi.probs[5] == 1.0 and hi.probs[:5].sum() == 0.0
+
+    def test_log_pmf_at_chosen_counts(self):
+        counts = np.array([[0, 3, 17], [40, 99, 100]])
+        got = log_binomial_pmf(0.3, 100, counts)
+        assert got.shape == counts.shape
+        np.testing.assert_array_equal(got, log_binomial_pmf(0.3, 100)[counts])
+
+    def test_log_pmf_at_a_subnormal_mean(self):
+        """k / (n mu) overflows here; the log of P(1) = 2 mu (1 - mu) does not."""
+        assert log_binomial_pmf(1e-310, 2, [1])[0] == pytest.approx(math.log(2e-310), rel=1e-13)
+
+    @pytest.mark.parametrize("counts", [[-1], [101], [2.0], np.array([0.5])])
+    def test_log_pmf_rejects_bad_counts(self, counts):
+        with pytest.raises(OutOfRangeError):
+            log_binomial_pmf(0.3, 100, counts)
 
     def test_log_pmf_rejects_endpoints(self):
         with pytest.raises(DegenerateMuError):
@@ -130,9 +145,11 @@ class TestLogLikelihoodRatio:
         assert log_likelihood_ratio(0.4, 0.3, 0.3, 50) == 0.0
 
     def test_tiny_means(self):
-        """A product of two means below about 1e-154 underflows; the bracket forms none."""
+        """A product of two means below about 1e-154 underflows, and (x/lo)(x/hi)
+        at such means overflows; the bracket forms neither."""
         assert log_likelihood_ratio(0.5, 1e-160, 1e-160, 1) == 0.0
         assert log_likelihood_ratio(0.0, 2e-170, 1e-170, 1) == pytest.approx(-5e-171, rel=1e-12)
+        assert log_likelihood_ratio(0.5, 1e-160, 2e-160, 1) == pytest.approx(-6.25e158, rel=1e-12)
 
     def test_convexity_flips_with_mean_sum(self):
         """Second difference in x is positive iff mu0 + mu1 < 1 (for mu0 > mu1)."""
