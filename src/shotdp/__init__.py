@@ -55,7 +55,6 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
     ShotDPError,
-    TooManyOutcomesError,
     TraceNotOneError,
     UnattainableError,
     ZeroNoiseError,
@@ -114,7 +113,6 @@ __all__ = [
     "PrivacyReport",
     "Projector",
     "ShotDPError",
-    "TooManyOutcomesError",
     "TraceNotOneError",
     "UnattainableError",
     "ZeroNoiseError",

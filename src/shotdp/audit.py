@@ -3,10 +3,11 @@
 The budgets in `budget` are derived on a Gaussian surrogate; the mechanism
 they describe is an n-shot binomial. This module computes what the binomial
 mechanism actually leaks (`exact_epsilon`, `hockey_stick_delta`), checks the
-defining privacy inequality subset-by-subset (`qdp_check`), compares the
-closed forms against their own endpoint approximation (`dominance_audit`),
-and confirms the exact oracles empirically (`monte_carlo_audit`). Reports
-carry slack as data; nothing here assumes the budgets are tight.
+defining privacy inequality on measured states by its hockey-stick sum
+(`qdp_check`), compares the closed forms against their own endpoint
+approximation (`dominance_audit`), and confirms the exact oracles
+empirically (`monte_carlo_audit`). Reports carry slack as data; nothing
+here assumes the budgets are tight.
 
 For two binomial laws over the same n the per-count log ratio is affine in
 the count (the binomial coefficients cancel), so its extremes sit at the
@@ -19,6 +20,7 @@ references.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,19 +38,17 @@ from .errors import (
     IncompletePVMError,
     OutOfRangeError,
     PreconditionViolatedError,
-    TooManyOutcomesError,
     check_count,
+    check_distance,
     check_mean,
 )
-from .shots import binomial_distribution, log_binomial_pmf, log_likelihood_ratio, sample_means
+from .shots import _sample_counts, binomial_distribution, log_binomial_pmf, log_likelihood_ratio
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
 
 # Float slack for comparisons that are exact in real arithmetic.
 _EQ_SLACK = 1e-12
 # e^-750 is below half the smallest subnormal double, so exp rounds it to 0.0.
 _TAIL_LOG = 750.0
-
-MAX_PVM_OUTCOMES = 16
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,16 @@ def _log_quotient(num: float, den: float, gap: float) -> float:
 
     Near 1, log1p of the relative gap keeps the digits that log of the
     rounded quotient would cancel; away from 1 the quotient is the accurate
-    one, since a relative gap near -1 has already lost them.
+    one, since a relative gap near -1 has already lost them. A quotient that
+    overflows or falls below the smallest normal double has lost its digits
+    too, and there the difference of the two logs is taken instead.
     """
     if 0.5 * den <= num <= 2.0 * den:
         return math.log1p(gap / den)
-    return math.log(num / den)
+    quotient = num / den
+    if sys.float_info.min <= quotient < math.inf:
+        return math.log(quotient)
+    return math.log(num) - math.log(den)
 
 
 def _log_ratio(mu0: float, mu1: float, n: int, k):
@@ -171,18 +176,20 @@ def qdp_check(
     eps: float,
     delta: float,
 ) -> bool:
-    """Exhaustively test the defining privacy inequality on a complete PVM.
+    """Test the defining privacy inequality on a complete PVM.
 
-    For every subset S of outcomes and both orderings of the states:
+    The inequality must hold for every subset S of outcomes and both
+    orderings of the states:
 
         sum_{k in S} Tr[M_k E(rho)]  <=  e^eps sum_{k in S} Tr[M_k E(sigma)] + delta
 
-    All 2^m subsets are enumerated, so at most 16 outcomes are accepted.
+    The worst S holds the outcomes with a positive excess p_k - e^eps q_k, so
+    the check is one hockey-stick sum over the m outcomes, for any m:
+
+        max over both orderings of  sum_k max(p_k - e^eps q_k, 0)  <=  delta
     """
     if not eps >= 0.0 or not delta >= 0.0:
         raise OutOfRangeError(f"OutOfRange: eps={eps}, delta={delta} must be nonnegative")
-    if len(projectors) > MAX_PVM_OUTCOMES:
-        raise TooManyOutcomesError(f"TooManyOutcomes: {len(projectors)} > {MAX_PVM_OUTCOMES}")
     if not projectors:
         raise IncompletePVMError("IncompletePVM: empty projector family")
     dim = rho.dim
@@ -195,17 +202,12 @@ def qdp_check(
         raise IncompletePVMError(f"IncompletePVM: max |sum M_k - I| = {completeness:.3e}")
     out_rho = apply_channel(ch, rho)
     out_sigma = apply_channel(ch, sigma)
-    p = np.array([expectation(out_rho, m) for m in projectors])
-    q = np.array([expectation(out_sigma, m) for m in projectors])
-    count = len(projectors)
-    masks = np.arange(1 << count)[:, None]
-    bits = ((masks >> np.arange(count)) & 1).astype(float)
-    sp = bits @ p
-    sq = bits @ q
+    p = [expectation(out_rho, m) for m in projectors]
+    q = [expectation(out_sigma, m) for m in projectors]
     grow = math.exp(eps)
-    forward = sp <= grow * sq + delta + _EQ_SLACK
-    backward = sq <= grow * sp + delta + _EQ_SLACK
-    return bool(np.all(forward & backward))
+    forward = sum(max(a - grow * b, 0.0) for a, b in zip(p, q))
+    backward = sum(max(b - grow * a, 0.0) for a, b in zip(p, q))
+    return max(forward, backward) <= delta + _EQ_SLACK
 
 
 def dominance_audit(
@@ -234,6 +236,8 @@ def dominance_audit(
     endpoint-maximum argument breaks; the report flags NonConvexRegime
     instead of asserting anything.
     """
+    d, r, n = check_distance(d), check_count(r, "rank r"), check_count(n, "shots n")
+    mu0, mu1 = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1")
     if mu1 > mu0:
         raise PreconditionViolatedError(f"PreconditionViolated: mu1={mu1} must be the smaller mean")
     if regime == "noiseless":
@@ -252,7 +256,6 @@ def dominance_audit(
     if mu0 + mu1 > 1.0:
         flags.append("NonConvexRegime")
 
-    n = report.inputs.n
     sigma0 = math.sqrt(mu0 * (1.0 - mu0) / n)
     raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
     x_lower, x_upper = max(raw_lower, 0.0), min(raw_upper, 1.0)
@@ -310,12 +313,6 @@ def dominance_audit(
     )
 
 
-def _child_seeds(seed: int, count: int) -> list[int]:
-    """Distinct deterministic stream keys for the sub-experiments of one audit."""
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-    return [int(s) for s in state]
-
-
 def monte_carlo_audit(
     mu0: float,
     mu1: float,
@@ -335,15 +332,18 @@ def monte_carlo_audit(
     (hockey-stick delta at eps within the supplied delta).
 
     Deterministic given `seed`: the two sampling streams are derived from
-    it, so reruns reproduce every empirical number bit-for-bit.
+    it, so reruns reproduce every empirical number bit-for-bit. Each stream
+    draws what `sample_means` draws under its child key.
     """
     trials = check_count(trials, "trials", minimum=1000)
+    seed = check_count(seed, "seed", minimum=0)
     exact_eps = exact_epsilon(mu0, mu1, n)
     level = exact_eps if eps is None else float(eps)
     exact_delta = hockey_stick_delta(mu0, mu1, n, max(level, 0.0))
-    seed0, seed1 = _child_seeds(seed, 2)
-    counts0 = np.bincount(np.rint(sample_means(mu0, n, trials, seed0) * n).astype(int), minlength=n + 1)
-    counts1 = np.bincount(np.rint(sample_means(mu1, n, trials, seed1) * n).astype(int), minlength=n + 1)
+    law0, law1 = binomial_distribution(mu0, n).probs, binomial_distribution(mu1, n).probs
+    seed0, seed1 = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist()
+    counts0 = np.bincount(_sample_counts(law0, trials, seed0), minlength=n + 1)
+    counts1 = np.bincount(_sample_counts(law1, trials, seed1), minlength=n + 1)
     emp0 = counts0 / trials
     emp1 = counts1 / trials
     observable = (counts0 > 0) & (counts1 > 0)
@@ -366,12 +366,12 @@ def monte_carlo_audit(
         flags=(),
         excluded_outcomes=excluded,
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         details={
             "empirical_p0": emp0.tolist(),
             "empirical_p1": emp1.tolist(),
-            "exact_p0": binomial_distribution(mu0, n).probs.tolist(),
-            "exact_p1": binomial_distribution(mu1, n).probs.tolist(),
+            "exact_p0": law0.tolist(),
+            "exact_p1": law1.tolist(),
             "epsilon_hat": eps_hat,
             "epsilon_hat_abs_error": eps_hat_error,
         },

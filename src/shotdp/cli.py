@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -141,7 +141,7 @@ def _select_budget(params: dict) -> tuple:
 
 
 def _report_json(report: PrivacyReport) -> str:
-    inputs = {k: v for k, v in asdict(report.inputs).items() if v is not None}
+    inputs = {k: v for k, v in vars(report.inputs).items() if v is not None}
     payload = {"epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings), "inputs": inputs}
     return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
 
@@ -278,7 +278,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
 
     Builds a state pair at trace distance d, applies the configured channel,
     measures the configured projector, then runs the endpoint dominance
-    audit, the Monte Carlo oracle confirmation, and the subset-enumeration
+    audit, the Monte Carlo oracle confirmation, and the hockey-stick
     privacy check on the binary outcome. Returns the serialized report and
     the exit code: 3 when an endpoint dominance check the preconditions
     entitle us to expect fails, otherwise 0. A NonConvexRegime flag removes
@@ -324,8 +324,8 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
             "mu0": mu_hi, "mu1": mu_lo, "attained_by": measured.which,
             "trace_distance": trace_distance(rho, sigma),
         },
-        "dominance": asdict(dominance),
-        "monte_carlo": asdict(carlo),
+        "dominance": vars(dominance),
+        "monte_carlo": vars(carlo),
         "single_shot_check": {"epsilon": single_shot_eps, "passed": qdp_passed},
     }
     text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"

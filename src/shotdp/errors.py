@@ -68,10 +68,6 @@ class IncompletePVMError(ShotDPError):
     """Projector family does not sum to the identity."""
 
 
-class TooManyOutcomesError(ShotDPError):
-    """Outcome count exceeds the exhaustive-subset audit limit."""
-
-
 class PreconditionViolatedError(ShotDPError):
     """Inputs violate a documented precondition of the operation."""
 

@@ -240,10 +240,13 @@ def sample_means(mu: float, n: int, trials: int, seed: int) -> np.ndarray:
     """
     trials = check_count(trials, "trials")
     seed = check_count(seed, "seed", minimum=0)
-    dist = binomial_distribution(mu, n)
-    cdf = np.cumsum(dist.probs)
+    return _sample_counts(binomial_distribution(mu, n).probs, trials, seed) / float(n)
+
+
+def _sample_counts(probs: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """`trials` counts drawn from the law `probs`: slot t of the Philox
+    stream keyed by `seed`, inverted through the cumulative law."""
+    cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # close the float gap so every uniform lands in a bin
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(trials)
-    counts = np.searchsorted(cdf, u, side="right")
-    return counts / float(n)
+    return np.searchsorted(cdf, rng.random(trials), side="right")

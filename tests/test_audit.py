@@ -6,13 +6,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shotdp import (
     DegenerateMuError,
     IncompletePVMError,
     OutOfRangeError,
     PreconditionViolatedError,
-    TooManyOutcomesError,
     apply_channel,
     basis_columns,
     basis_state,
@@ -76,6 +77,15 @@ class TestExactEpsilon:
     def test_rejects_degenerate_means(self):
         with pytest.raises(DegenerateMuError):
             exact_epsilon(1.0, 0.15, 5)
+
+    def test_subnormal_mean_against_high_precision(self):
+        """0.99 / 1e-310 overflows a double; the logs' difference does not."""
+        for mu0, mu1 in ((0.99, 1e-310), (1e-310, 0.99), (0.7, 5e-324)):
+            with mpmath.workdps(40):
+                a, b = mpmath.mpf(mu0), mpmath.mpf(mu1)
+                want = float(10 * max(abs(mpmath.log(a / b)), abs(mpmath.log((1 - a) / (1 - b)))))
+            assert exact_epsilon(mu0, mu1, 10) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert exact_epsilon(0.99, 1e-310, 10) == pytest.approx(7137.913284923007, rel=1e-15, abs=0.0)
 
 
 class TestHockeyStick:
@@ -169,7 +179,7 @@ class TestMinExpectation:
 
 
 class TestQdpCheck:
-    """Subset-enumeration privacy check on measured outcome laws."""
+    """Hockey-stick privacy check on measured outcome laws, against subset enumeration."""
 
     def test_identical_states_pass_at_zero(self, rng):
         rho = random_density(rng, 2)
@@ -232,12 +242,44 @@ class TestQdpCheck:
         with pytest.raises(IncompletePVMError, match="IncompletePVM"):
             qdp_check(rho, rho, identity_channel(2), [make_projector(basis_columns(2, [0]))], 0.0, 0.0)
 
-    def test_rejects_too_many_outcomes(self):
+    def test_seventeen_outcomes_at_total_variation(self):
+        """A basis state against the maximally mixed state in dimension 17 is
+        at total variation 16/17, so at eps = 0 it needs delta = 16/17."""
         dim = 17
-        rho = maximally = basis_state(dim, 0)
         pvm = [make_projector(basis_columns(dim, [k])) for k in range(dim)]
-        with pytest.raises(TooManyOutcomesError, match="TooManyOutcomes"):
-            qdp_check(rho, maximally, identity_channel(dim), pvm, 0.0, 0.0)
+        args = (basis_state(dim, 0), maximally_mixed(dim), identity_channel(dim), pvm, 0.0)
+        assert not qdp_check(*args, 0.9)
+        assert qdp_check(*args, 16 / 17)
+
+    @given(
+        m=st.integers(2, 6),
+        key=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        eps=st.floats(0.0, 1.0),
+        fraction=st.floats(0.0, 2.0),
+    )
+    def test_agrees_with_subset_oracle_on_random_pvms(self, m, key, p, eps, fraction):
+        """2- to 6-outcome PVMs in random bases, with and without noise, at
+        delta = `fraction` times the worst subset excess, so both verdicts
+        come up near the threshold; cases within 1e-14 of the oracle's
+        threshold are left out, where rounding decides either way."""
+        rng = np.random.default_rng(key)
+        rho, sigma = random_density(rng, m), random_density(rng, m)
+        basis, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        pvm = [make_projector(basis[:, [k]]) for k in range(m)]
+        ch = identity_channel(m) if p is None else depolarizing_channel(p, m)
+        out_rho, out_sigma = apply_channel(ch, rho), apply_channel(ch, sigma)
+        probs = [expectation(out_rho, x) for x in pvm]
+        other = [expectation(out_sigma, x) for x in pvm]
+        worst = max(
+            sum(a[k] for k in subset) - math.exp(eps) * sum(b[k] for k in subset)
+            for size in range(m + 1)
+            for subset in itertools.combinations(range(m), size)
+            for a, b in ((probs, other), (other, probs))
+        )
+        delta = fraction * worst
+        assume(abs(worst - delta - 1e-12) > 1e-14)
+        assert qdp_check(rho, sigma, ch, pvm, eps, delta) == qdp_oracle(probs, other, eps, delta)
 
     def test_rejects_negative_budget(self):
         rho = basis_state(2, 0)
@@ -298,6 +340,21 @@ class TestDominanceAudit:
         with pytest.raises(PreconditionViolatedError):
             dominance_audit(d=0.1, r=1, n=10, mu0=0.5, mu1=0.15)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0.1, 1, 10, "0.2", 0.15),
+            (0.1, 1, 10, True, 0.15),
+            (0.1, 1, 10, 0.25, "0.15"),
+            ("0.1", 1, 10, 0.25, 0.15),
+        ],
+    )
+    def test_inputs_checked_before_use(self, args):
+        """A string or bool argument is rejected by its validator, not
+        compared or multiplied first."""
+        with pytest.raises(OutOfRangeError, match="OutOfRange"):
+            dominance_audit(*args)
+
     def test_depolarizing_ratio_bound_enforced(self):
         """mu0/mu1 beyond 1 + (1-p)/p d D cannot come from one depolarized pair."""
         with pytest.raises(PreconditionViolatedError):
@@ -351,6 +408,20 @@ class TestMonteCarloAudit:
     def test_too_few_trials_rejected(self):
         with pytest.raises(OutOfRangeError, match="OutOfRange"):
             monte_carlo_audit(0.25, 0.15, 10, 999, seed=5)
+
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "7"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(OutOfRangeError, match="seed"):
+            monte_carlo_audit(0.25, 0.15, 10, 5000, seed=seed)
+
+    def test_counts_match_sample_means_on_child_seeds(self):
+        """Each hypothesis draws what `sample_means` draws under its child key."""
+        n, trials = 10, 5000
+        rep = monte_carlo_audit(0.25, 0.15, n, trials, seed=9)
+        children = np.random.SeedSequence(9).generate_state(2, dtype=np.uint64)
+        for label, mu, child in (("0", 0.25, children[0]), ("1", 0.15, children[1])):
+            counts = np.rint(sample_means(mu, n, trials, int(child)) * n).astype(int)
+            assert rep.details[f"empirical_p{label}"] == (np.bincount(counts, minlength=n + 1) / trials).tolist()
 
     def test_report_metadata(self):
         rep = monte_carlo_audit(0.25, 0.15, 10, 5000, seed=9)
