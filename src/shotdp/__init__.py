@@ -15,18 +15,14 @@ Modules:
     budget  closed-form privacy budgets and tail-cutoff conversions
     audit   exact oracles, dominance audits, Monte Carlo confirmation
     cli     compute / sweep / figures / audit commands
+
+`budget` and `errors` import only the standard library and load with the
+package; `states`, `shots` and `audit` use numpy and load on first use of
+one of their names.
 """
 
-from .audit import (
-    AuditReport,
-    MinExpectation,
-    dominance_audit,
-    exact_epsilon,
-    hockey_stick_delta,
-    min_expectation,
-    monte_carlo_audit,
-    qdp_check,
-)
+from importlib import import_module
+
 from .budget import (
     BudgetInputs,
     PrivacyReport,
@@ -59,34 +55,44 @@ from .errors import (
     UnattainableError,
     ZeroNoiseError,
 )
-from .shots import (
-    NormalModel,
-    OutcomeDistribution,
-    binomial_distribution,
-    log_binomial_pmf,
-    log_likelihood_ratio,
-    normal_model,
-    sample_means,
-    single_shot_variance,
-)
-from .states import (
-    Channel,
-    DensityMatrix,
-    Projector,
-    apply_channel,
-    basis_columns,
-    basis_state,
-    complement_projector,
-    depolarizing_channel,
-    expectation,
-    identity_channel,
-    make_density,
-    make_projector,
-    maximally_mixed,
-    neighbor_state,
-    overlap_gap,
-    trace_distance,
-)
+# The numpy-backed submodules load on first use, so `import shotdp` and the
+# budget commands need only the standard library. Each name below maps to the
+# submodule that defines it, and each submodule to itself.
+_LAZY = {
+    name: module
+    for module, names in {
+        "audit": (
+            "AuditReport", "MinExpectation", "dominance_audit", "exact_epsilon", "hockey_stick_delta",
+            "min_expectation", "monte_carlo_audit", "qdp_check",
+        ),
+        "shots": (
+            "NormalModel", "OutcomeDistribution", "binomial_distribution", "log_binomial_pmf",
+            "log_likelihood_ratio", "normal_model", "sample_means", "single_shot_variance",
+        ),
+        "states": (
+            "Channel", "DensityMatrix", "Projector", "apply_channel", "basis_columns", "basis_state",
+            "complement_projector", "depolarizing_channel", "expectation", "identity_channel", "make_density",
+            "make_projector", "maximally_mixed", "neighbor_state", "overlap_gap", "trace_distance",
+        ),
+    }.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    """Import the submodule behind a lazy name (PEP 562) and cache the name here."""
+    submodule = _LAZY.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{submodule}", __name__)
+    value = module if name == submodule else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

@@ -36,11 +36,11 @@ from .errors import (
     BadConfigError,
     DimMismatchError,
     IncompletePVMError,
-    OutOfRangeError,
     PreconditionViolatedError,
     check_count,
     check_distance,
     check_mean,
+    check_nonnegative,
 )
 from .shots import _sample_counts, binomial_distribution, log_binomial_pmf, log_likelihood_ratio
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
@@ -144,8 +144,7 @@ def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     than 2 e^-L on the rest, and every term there rounds to 0.0 in the full
     sum too. So the window is O(sqrt(n)) counts and drops nothing.
     """
-    if not eps >= 0.0:
-        raise OutOfRangeError(f"OutOfRange: eps={eps} must be nonnegative")
+    eps = check_nonnegative(eps, "eps")
     mu0 = check_mean(mu0, "mean mu0")
     n = check_count(n, "shots n")
     mean = n * mu0
@@ -187,9 +186,12 @@ def qdp_check(
     the check is one hockey-stick sum over the m outcomes, for any m:
 
         max over both orderings of  sum_k max(p_k - e^eps q_k, 0)  <=  delta
+
+    Any eps >= 0 is accepted, inf included. Past eps ~ 709.78, where e^eps
+    overflows a double, e^eps q_k exceeds p_k for every q_k of normal size,
+    so only the outcomes with q_k = 0 keep an excess, of p_k.
     """
-    if not eps >= 0.0 or not delta >= 0.0:
-        raise OutOfRangeError(f"OutOfRange: eps={eps}, delta={delta} must be nonnegative")
+    eps, delta = check_nonnegative(eps, "eps"), check_nonnegative(delta, "delta")
     if not projectors:
         raise IncompletePVMError("IncompletePVM: empty projector family")
     dim = rho.dim
@@ -204,9 +206,17 @@ def qdp_check(
     out_sigma = apply_channel(ch, sigma)
     p = [expectation(out_rho, m) for m in projectors]
     q = [expectation(out_sigma, m) for m in projectors]
-    grow = math.exp(eps)
-    forward = sum(max(a - grow * b, 0.0) for a, b in zip(p, q))
-    backward = sum(max(b - grow * a, 0.0) for a, b in zip(p, q))
+    try:
+        grow = math.exp(eps)
+    except OverflowError:
+        grow = math.inf
+
+    def excess(a: float, b: float) -> float:
+        # max(a - e^eps b, 0); b = 0 leaves all of a, also where e^eps is inf and 0 * inf is nan.
+        return a if b == 0.0 else max(a - grow * b, 0.0)
+
+    forward = sum(map(excess, p, q))
+    backward = sum(map(excess, q, p))
     return max(forward, backward) <= delta + _EQ_SLACK
 
 
@@ -329,7 +339,8 @@ def monte_carlo_audit(
     with a zero count in either histogram carry no estimate; they are
     listed in `excluded_outcomes`. When a budget (eps, delta) is supplied,
     the report also records whether it covers the exact mechanism
-    (hockey-stick delta at eps within the supplied delta).
+    (hockey-stick delta at eps within the supplied delta). A given eps or
+    delta must be a nonnegative real.
 
     Deterministic given `seed`: the two sampling streams are derived from
     it, so reruns reproduce every empirical number bit-for-bit. Each stream
@@ -337,9 +348,12 @@ def monte_carlo_audit(
     """
     trials = check_count(trials, "trials", minimum=1000)
     seed = check_count(seed, "seed", minimum=0)
+    if eps is not None:
+        eps = check_nonnegative(eps, "eps")
+    if delta is not None:
+        delta = check_nonnegative(delta, "delta")
     exact_eps = exact_epsilon(mu0, mu1, n)
-    level = exact_eps if eps is None else float(eps)
-    exact_delta = hockey_stick_delta(mu0, mu1, n, max(level, 0.0))
+    exact_delta = hockey_stick_delta(mu0, mu1, n, exact_eps if eps is None else eps)
     law0, law1 = binomial_distribution(mu0, n).probs, binomial_distribution(mu1, n).probs
     seed0, seed1 = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist()
     counts0 = np.bincount(_sample_counts(law0, trials, seed0), minlength=n + 1)

@@ -29,23 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-import numpy as np
-
-from .audit import dominance_audit, exact_epsilon, min_expectation, monte_carlo_audit, qdp_check
 from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_noise
-from .states import (
-    basis_columns,
-    basis_state,
-    complement_projector,
-    depolarizing_channel,
-    identity_channel,
-    make_density,
-    make_projector,
-    maximally_mixed,
-    neighbor_state,
-    trace_distance,
-)
 
 GRID_AXES = ("n", "p", "c", "delta", "d", "mu")
 
@@ -68,16 +53,14 @@ def _fmt(x) -> str:
 
 
 def _jsonify(obj):
-    """Recursively coerce report structures into JSON-stable primitives."""
+    """Recursively coerce report structures into JSON-stable primitives:
+    string keys, lists for tuples, and floats rounded by `_fmt`. Reports hold
+    Python numbers only, so bools, ints and strings pass through."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(_fmt(obj))
     return obj
 
@@ -205,6 +188,8 @@ def run_sweep(cfg: RunConfig) -> str:
 
 
 _SHOT_AXIS = tuple(range(5, 101))
+# 40 log-spaced delta from 1e-4 to 1e-1, each within 1 ulp of np.logspace(-4, -1, 40).
+_FIG5A_AXIS = (*(10.0 ** (-4 + i * (3 / 39)) for i in range(39)), 0.1)
 # The bundled reference sweeps, all at d = 0.1, r = 1, mu = 0.15:
 # name -> (kernel, regime, other fixed parameters, axis, default axis values, columns after the axis).
 _FIGURES = {
@@ -212,8 +197,7 @@ _FIGURES = {
     "fig4a": (_pure, "depolarizing", {"n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
               ("epsilon", "warnings")),
     "fig4b": (_pure, "depolarizing", {"p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
-    "fig5a": (_tail, "noiseless", {"n": 10}, "delta", tuple(np.logspace(-4, -1, 40).tolist()),
-              ("c", "epsilon", "warnings")),
+    "fig5a": (_tail, "noiseless", {"n": 10}, "delta", _FIG5A_AXIS, ("c", "epsilon", "warnings")),
     "fig5b": (_tail, "noiseless", {"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
 }
 
@@ -242,6 +226,10 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
 
 def _parse_state(token, dim: int, default_diag: bool = False):
     """State spec: 'basis:<j>', 'diag:a,b,...', a nested matrix, or None."""
+    import numpy as np
+
+    from .states import basis_state, make_density, maximally_mixed
+
     if token is None:
         if default_diag:
             # Default keeps the smaller outcome mean at 0.15, the library's
@@ -264,6 +252,8 @@ def _parse_state(token, dim: int, default_diag: bool = False):
 
 
 def _parse_projector(token, dim: int):
+    from .states import basis_columns, make_projector
+
     if token is None:
         indices = [0]
     elif isinstance(token, str):
@@ -284,6 +274,10 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     entitle us to expect fails, otherwise 0. A NonConvexRegime flag removes
     the entitlement, so those runs report without gating.
     """
+    # The audit path alone needs numpy; the budget commands never load it.
+    from .audit import dominance_audit, exact_epsilon, min_expectation, monte_carlo_audit, qdp_check
+    from .states import complement_projector, depolarizing_channel, identity_channel, neighbor_state, trace_distance
+
     params = cfg.params
 
     def setting(key, fallback):

@@ -153,6 +153,15 @@ def check_delta(delta, supremum: float = math.inf) -> float:
     return delta
 
 
+def check_nonnegative(value, name: str) -> float:
+    """A privacy level (an audit's eps or delta) at or above 0; inf is allowed."""
+    if type(value) is not float:
+        value = _real(value, name)
+    if not value >= 0.0:
+        raise OutOfRangeError(f"OutOfRange: {name}={value} must be nonnegative")
+    return value
+
+
 def check_convention(convention: str) -> bool:
     """Delta convention name; True for "paper", False for "normalized"."""
     if convention not in ("paper", "normalized"):

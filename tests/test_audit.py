@@ -281,6 +281,14 @@ class TestQdpCheck:
         assume(abs(worst - delta - 1e-12) > 1e-14)
         assert qdp_check(rho, sigma, ch, pvm, eps, delta) == qdp_oracle(probs, other, eps, delta)
 
+    def test_orthogonal_states_past_exp_overflow(self):
+        """At eps = 800, e^eps overflows a double: the outcome with q_k = 0 keeps
+        its whole excess p_k = 1 and the other has none."""
+        rho, sigma = basis_state(2, 0), basis_state(2, 1)
+        pvm = [make_projector(basis_columns(2, [0])), make_projector(basis_columns(2, [1]))]
+        assert qdp_check(rho, sigma, identity_channel(2), pvm, 800.0, 1.0)
+        assert not qdp_check(rho, sigma, identity_channel(2), pvm, 800.0, 0.5)
+
     def test_rejects_negative_budget(self):
         rho = basis_state(2, 0)
         pvm = [make_projector(basis_columns(2, [0])), make_projector(basis_columns(2, [1]))]
@@ -413,6 +421,17 @@ class TestMonteCarloAudit:
     def test_rejects_bad_seed(self, seed):
         with pytest.raises(OutOfRangeError, match="seed"):
             monte_carlo_audit(0.25, 0.15, 10, 5000, seed=seed)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [{"eps": "6"}, {"eps": True}, {"delta": False}, {"eps": -3.0}, {"delta": -0.1}, {"eps": math.nan},
+         {"delta": math.nan}, {"delta": "x"}],
+        ids=["eps-string", "eps-bool", "delta-bool", "eps-negative", "delta-negative", "eps-nan", "delta-nan",
+             "delta-string"],
+    )
+    def test_rejects_bad_budget(self, budget):
+        with pytest.raises(OutOfRangeError, match="OutOfRange"):
+            monte_carlo_audit(0.25, 0.15, 10, 5000, seed=5, **{"eps": 6.0, "delta": 0.01, **budget})
 
     def test_counts_match_sample_means_on_child_seeds(self):
         """Each hypothesis draws what `sample_means` draws under its child key."""

@@ -1,12 +1,14 @@
 """Command-line surface: compute, sweep, figures, audit."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from shotdp.cli import GRID_AXES, main
+from shotdp.cli import _FIGURES, GRID_AXES, main
 
 
 def rows_of(csv_text):
@@ -292,6 +294,13 @@ class TestFiguresCommand:
         cutoffs = [float(row[1]) for row in rows]
         assert all(x > y for x, y in zip(cutoffs, cutoffs[1:]))
         assert all("RegimeInvalid" in row[3] for row in rows)
+
+    def test_fig5a_axis_within_one_ulp_of_logspace(self):
+        """The axis is built without numpy, from the same exponents as np.logspace."""
+        axis = _FIGURES["fig5a"][4]
+        reference = np.logspace(-4, -1, 40).tolist()
+        assert len(axis) == 40 and axis[-1] == 0.1
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(axis, reference))
 
     def test_fig5b_row_count(self, tmp_path):
         out = tmp_path / "fig5b.csv"

@@ -1,15 +1,101 @@
-"""The installed runtime is numpy alone: importing the command line loads no scipy."""
+"""Import cost: the budget commands run on the standard library alone.
 
+Importing `shotdp` or `shotdp.cli` loads neither scipy nor numpy. The names
+of `audit`, `shots` and `states` resolve on first use, to the same objects
+their modules define, and only then is numpy loaded. Each check runs in a
+fresh interpreter, since the test process has imported everything already.
+"""
+
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from test_golden import CASES, GOLDEN
+
 SRC = Path(__file__).parent.parent / "src"
+SUBMODULES = ("audit", "budget", "errors", "shots", "states")
+
+
+def run_fresh(code: str, *args: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return done.stdout
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    probe = "import sys, shotdp.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert done.stdout.strip() == "False"
+    assert run_fresh("import sys, shotdp.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+# Imports the package and the command line, then runs every golden budget
+# command and the default audit in one process; reports each command's exit
+# code and, after each step, whether numpy is loaded.
+_COMMANDS_PROBE = """
+import json, sys
+import shotdp
+numpy_after = {"import shotdp": "numpy" in sys.modules}
+import shotdp.cli
+numpy_after["import shotdp.cli"] = "numpy" in sys.modules
+cases, out, codes = json.loads(sys.argv[1]), sys.argv[2], {}
+for name, argv in cases.items():
+    codes[name] = shotdp.cli.main([*argv, "--out", f"{out}/{name}"])
+    numpy_after[name] = "numpy" in sys.modules
+print(json.dumps([codes, numpy_after]))
+"""
+_BUDGET_CASES = {name: argv for name, argv in CASES.items() if argv[0] != "audit"}
+
+
+@pytest.fixture(scope="module")
+def commands_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fresh")
+    cases = {**_BUDGET_CASES, "audit_default.json": CASES["audit_default.json"]}
+    codes, numpy_after = json.loads(run_fresh(_COMMANDS_PROBE, json.dumps(cases), str(out)))
+    return codes, numpy_after, out
+
+
+def test_budget_commands_leave_numpy_unloaded(commands_run):
+    codes, numpy_after, out = commands_run
+    assert {argv[0] for argv in _BUDGET_CASES.values()} == {"compute", "sweep", "figures"}
+    assert [step for step in ("import shotdp", "import shotdp.cli", *_BUDGET_CASES) if numpy_after[step]] == []
+    for name in _BUDGET_CASES:
+        assert codes[name] == 0, name
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_audit_after_budget_commands_loads_numpy_and_matches_golden(commands_run):
+    codes, numpy_after, out = commands_run
+    assert codes["audit_default.json"] == 0 and numpy_after["audit_default.json"]
+    assert (out / "audit_default.json").read_bytes() == (GOLDEN / "audit_default.json").read_bytes()
+
+
+# Resolves a submodule through the package first, then every public name, by
+# attribute and by a star import, and compares each with the bindings of that
+# name in the submodules (there may be several: modules import names from each
+# other, but all must be the one object).
+_RESOLVE_PROBE = """
+import importlib, json, sys
+import shotdp
+first = sys.argv[1]
+listed = sorted(set([*shotdp.__all__, "audit", "shots", "states"]) - set(dir(shotdp)))
+module_first = getattr(shotdp, first) is sys.modules[f"shotdp.{first}"]
+star = {}
+exec("from shotdp import *", star)
+modules = [importlib.import_module(f"shotdp.{name}") for name in json.loads(sys.argv[2])]
+wrong = []
+for name in shotdp.__all__:
+    value = getattr(shotdp, name)
+    bindings = [vars(m)[name] for m in modules if name in vars(m)]
+    if not bindings or any(b is not value for b in bindings) or star.get(name) is not value:
+        wrong.append(name)
+submodules = [getattr(shotdp, name) is sys.modules[f"shotdp.{name}"] for name in ("audit", "shots", "states")]
+print(json.dumps({"missing_from_dir": listed, "module_first": module_first, "wrong": wrong, "submodules": submodules}))
+"""
+
+
+@pytest.mark.parametrize("first", ["audit", "shots", "states"])
+def test_every_public_name_resolves_to_its_defining_object(first):
+    got = json.loads(run_fresh(_RESOLVE_PROBE, first, json.dumps(SUBMODULES)))
+    assert got == {"missing_from_dir": [], "module_first": True, "wrong": [], "submodules": [True, True, True]}
