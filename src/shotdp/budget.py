@@ -23,8 +23,11 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
-from statistics import NormalDist
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter without the C accelerator
+    from statistics import _normal_dist_inv_cdf
 
 from .errors import (
     BadConfigError,
@@ -44,7 +47,13 @@ erfc = math.erfc
 """Complementary error function (absolute error well under 1e-7 for |x| <= 6)."""
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_normal_quantile = NormalDist().inv_cdf
+
+
+def _normal_quantile(q: float) -> float:
+    """Standard normal quantile for 0 < q < 1: the function behind
+    `statistics.NormalDist().inv_cdf`, called without loading `statistics`."""
+    return _normal_dist_inv_cdf(q, 0.0, 1.0)
+
 
 # Each field's one validator, in the kernels' argument order. BudgetInputs
 # and the command line's sweeps both read this table.
@@ -61,8 +70,36 @@ _FIELD_CHECKS = {
 _REQUIRED = ("d", "r", "n", "mu")
 
 
-@dataclass(frozen=True)
-class BudgetInputs:
+class _Record:
+    """Frozen record: the fields live in `__dict__` in `_fields` order, set
+    once by `__init__`; equality, hash and repr are those of a frozen
+    dataclass."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BudgetInputs(_Record):
     """Parameter bundle shared by the budget formulas.
 
     Every field is checked on construction by its validator in `errors`
@@ -90,25 +127,17 @@ class BudgetInputs:
         Positive, finite tail mass; alternative to `c` (supply exactly one).
     """
 
-    d: float
-    r: int
-    n: int
-    mu: float
-    p: float | None = None
-    D: int | None = None
-    c: float | None = None
-    delta: float | None = None
+    _fields = tuple(_FIELD_CHECKS)
 
-    def __post_init__(self):
-        # The instance is frozen, so the checked values go straight into its dict.
+    def __init__(self, d: float, r: int, n: int, mu: float, p: float | None = None, D: int | None = None,
+                 c: float | None = None, delta: float | None = None):
+        # The record is frozen, so the checked values go straight into its dict.
         fields = self.__dict__
-        for name, check in _FIELD_CHECKS.items():
-            if fields[name] is not None or name in _REQUIRED:
-                fields[name] = check(fields[name])
+        for (name, check), value in zip(_FIELD_CHECKS.items(), (d, r, n, mu, p, D, c, delta)):
+            fields[name] = check(value) if value is not None or name in _REQUIRED else None
 
 
-@dataclass(frozen=True)
-class PrivacyReport:
+class PrivacyReport(_Record):
     """Budget evaluation result: the numbers plus honesty flags.
 
     `epsilon` is finite and nonnegative unless "Divergent" appears in
@@ -116,10 +145,10 @@ class PrivacyReport:
     bundle the numbers were computed from.
     """
 
-    epsilon: float
-    delta: float
-    warnings: tuple[str, ...]
-    inputs: BudgetInputs
+    _fields = ("epsilon", "delta", "warnings", "inputs")
+
+    def __init__(self, epsilon: float, delta: float, warnings: tuple[str, ...], inputs: BudgetInputs):
+        self.__dict__.update(epsilon=epsilon, delta=delta, warnings=warnings, inputs=inputs)
 
 
 def _value_flags(epsilon: float, flags: list[str]) -> tuple[str, ...]:

@@ -14,8 +14,8 @@ and is named. The budget commands are a thin table over the kernels in
 `budget`: each names a (kernel, regime) pair, `compute` evaluates one
 checked bundle, and a sweep or figure checks its fixed parameters once,
 each axis value with that field's validator, then maps the kernel over the
-axis. Every float is emitted with 10 significant digits through one
-formatter, so JSON and CSV encode identical values and reruns are
+axis. Every number is emitted with 10 significant digits through one
+format, `.10g`, so JSON and CSV encode identical values and reruns are
 byte-identical. Exit codes, all returned by `main`: 0 success, 2
 configuration or validation error (an unknown flag included), 3 audit
 dominance failure.
@@ -24,9 +24,8 @@ dominance failure.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
@@ -35,20 +34,21 @@ from .errors import BadConfigError, ShotDPError, check_count, check_distance, ch
 GRID_AXES = ("n", "p", "c", "delta", "d", "mu")
 
 
-@dataclass
 class RunConfig:
     """One command invocation: what to run, on what, and where it goes."""
 
-    command: str
-    params: dict = field(default_factory=dict)
-    grid: tuple[float, float, float] | None = None
-    seed: int = 42
-    output_path: str | None = None
-    format: str | None = None
+    def __init__(self, command: str, params: dict | None = None, grid: tuple[float, float, float] | None = None,
+                 seed: int = 42, output_path: str | None = None, format: str | None = None):
+        self.command = command
+        self.params = {} if params is None else params
+        self.grid = grid
+        self.seed = seed
+        self.output_path = output_path
+        self.format = format
 
 
 def _fmt(x) -> str:
-    """One float formatter for every output channel: 10 significant digits."""
+    """The `.10g` float format as text, for JSON; CSV rows use it in one row format."""
     return f"{float(x):.10g}"
 
 
@@ -65,10 +65,20 @@ def _jsonify(obj):
     return obj
 
 
+def _json_text(obj) -> str:
+    """A report structure as sorted, indented JSON text; `json` loads here, on
+    the JSON paths alone."""
+    import json
+
+    return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
+
+
 def _csv_rows(header: list[str], rows) -> str:
-    """CSV text for rows of floats whose last cell is a tuple of warning flags."""
+    """CSV text for rows of numbers whose last cell is a tuple of warning flags.
+    One row format prints each number as `_fmt` does."""
+    row_format = "{:.10g}," * (len(header) - 1) + "{}"
     lines = [",".join(header)]
-    lines += [",".join([*map(_fmt, row[:-1]), ";".join(row[-1])]) for row in rows]
+    lines += [row_format.format(*row[:-1], ";".join(row[-1])) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -88,6 +98,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError as exc:
         raise BadConfigError(f"BadConfig: grid values must be numeric, got {text!r}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise BadConfigError(f"BadConfig: grid values must be finite, got {text!r}")
     if step <= 0.0:
         raise BadConfigError(f"BadConfig: grid step must be positive, got {step}")
     if stop < start:
@@ -126,7 +138,7 @@ def _select_budget(params: dict) -> tuple:
 def _report_json(report: PrivacyReport) -> str:
     inputs = {k: v for k, v in vars(report.inputs).items() if v is not None}
     payload = {"epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings), "inputs": inputs}
-    return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    return _json_text(payload)
 
 
 def run_compute(cfg: RunConfig) -> str:
@@ -184,7 +196,7 @@ def run_sweep(cfg: RunConfig) -> str:
     rows = _sweep_rows(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
     if fmt == "csv":
         return _csv_rows(header, rows)
-    return json.dumps(_jsonify([dict(zip(header, row)) for row in rows]), sort_keys=True, indent=2) + "\n"
+    return _json_text([dict(zip(header, row)) for row in rows])
 
 
 _SHOT_AXIS = tuple(range(5, 101))
@@ -322,7 +334,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
         "monte_carlo": vars(carlo),
         "single_shot_check": {"epsilon": single_shot_eps, "passed": qdp_passed},
     }
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload)
     entitled = "NonConvexRegime" not in dominance.flags
     endpoint_ok = dominance.dominated["endpoint_lower"] and dominance.dominated["endpoint_upper"]
     code = 3 if entitled and not endpoint_ok else 0
@@ -356,6 +368,8 @@ _COMMANDS = {
 
 
 def _load_config(path: str) -> dict:
+    import json
+
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -373,6 +387,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     unknown = sorted(set(merged) - set(keys))
     if unknown:
         raise BadConfigError(f"BadConfig: unknown configuration keys {unknown} for {args.command}")
+    # A file's values skip argparse, so check what its types and choices would have checked; null means unset.
+    for key, value in merged.items():
+        if value is None:
+            continue
+        choices = _KEY_OPTIONS[key].get("choices")
+        if key in ("grid", "which", "out") and not isinstance(value, str):
+            raise BadConfigError(f"BadConfig: configuration key {key!r} must be a string, got {value!r}")
+        if choices is not None and value not in choices:
+            raise BadConfigError(f"BadConfig: configuration key {key!r} must be one of {choices}, got {value!r}")
     merged.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
     params = {key: value for key, value in merged.items() if key not in ("seed", "out", "format", "grid")}
     grid = merged.get("grid")

@@ -1,7 +1,7 @@
 """Closed-form privacy budgets and tail-cutoff conversions."""
 
 import math
-from dataclasses import replace
+import statistics
 
 import mpmath
 import numpy as np
@@ -13,6 +13,7 @@ from shotdp import (
     DegenerateMuError,
     DeltaOutOfRangeError,
     OutOfRangeError,
+    PrivacyReport,
     UnattainableError,
     ZeroNoiseError,
     c_from_delta,
@@ -26,6 +27,7 @@ from shotdp import (
     expectation_ratio_bound,
     shots_for_budget,
 )
+from shotdp import budget
 
 
 def pure_noiseless_oracle(d, r, n, mu):
@@ -226,6 +228,14 @@ class TestTailConversions:
         with pytest.raises(DeltaOutOfRangeError, match="too small"):
             c_from_delta(5e-324, 0.15, 10, convention="normalized")
 
+    def test_normal_quantile_is_normal_dist_inv_cdf(self):
+        """Bit-identical to `NormalDist().inv_cdf` on a log grid of q from 1e-300 to 1/2."""
+        assert budget._normal_dist_inv_cdf is statistics._normal_dist_inv_cdf
+        inv_cdf = statistics.NormalDist().inv_cdf
+        qs = [min(10.0 ** (i / 10.0 - 300.0), 0.5) for i in range(2998)]
+        assert qs[0] == 1e-300 and qs[-2] < qs[-1] == 0.5
+        assert [budget._normal_quantile(q).hex() for q in qs] == [inv_cdf(q).hex() for q in qs]
+
 
 class TestTailBudgets:
     """(epsilon, delta) budgets driven by a frequency cutoff."""
@@ -263,14 +273,14 @@ class TestTailBudgets:
         (epsilon_delta_depolarizing, {"p": 0.5, "D": 2}),
     ])
     def test_delta_driven_report_echoes_the_derived_cutoff(self, budget, noise):
-        """The echo is the checked bundle with c filled in, as replace() would build it."""
+        """The echo equals the checked bundle rebuilt with c filled in."""
         inp = BudgetInputs(d=0.01, r=1, n=10, mu=0.15, delta=0.01, **noise)
         rep = budget(inp, convention="normalized")
         c = c_from_delta(0.01, 0.15, 10, "normalized")
-        assert rep.inputs == replace(inp, c=c)
+        assert rep.inputs == BudgetInputs(**{**vars(inp), "c": c})
         assert type(rep.inputs) is BudgetInputs and type(rep.inputs.c) is float
         assert rep.inputs.c == c and inp.c is None
-        assert hash(rep.inputs) == hash(replace(inp, c=c))
+        assert hash(rep.inputs) == hash(BudgetInputs(**{**vars(inp), "c": c}))
 
     def test_exactly_one_of_c_and_delta(self):
         with pytest.raises(BadConfigError, match="exactly one"):
@@ -427,3 +437,57 @@ class TestBudgetInputsValidation:
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, delta=float("inf"))
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("nan"))
+
+
+class TestRecords:
+    """`BudgetInputs` and `PrivacyReport` behave as frozen dataclasses would."""
+
+    def test_repr_text(self):
+        inp = BudgetInputs(0.1, 1, 10.0, 0.15, delta=0.01)
+        assert repr(inp) == "BudgetInputs(d=0.1, r=1, n=10, mu=0.15, p=None, D=None, c=None, delta=0.01)"
+        rep = PrivacyReport(1.5, 0.0, ("Divergent",), inp)
+        assert repr(rep) == f"PrivacyReport(epsilon=1.5, delta=0.0, warnings=('Divergent',), inputs={inp!r})"
+
+    def test_equality_and_hash_over_fields(self):
+        inp = BudgetInputs(d=0.1, r=1, n=10, mu=0.15, p=0.5, D=2)
+        same = BudgetInputs(0.1, 1, 10.0, 0.15, 0.5, 2)
+        assert inp == same and not inp != same
+        assert hash(inp) == hash(same) == hash((0.1, 1, 10, 0.15, 0.5, 2, None, None))
+        assert inp != BudgetInputs(d=0.1, r=1, n=11, mu=0.15, p=0.5, D=2)
+        assert inp != (0.1, 1, 10, 0.15, 0.5, 2, None, None)
+        assert inp != type("Subclass", (BudgetInputs,), {})(0.1, 1, 10, 0.15, 0.5, 2)
+        rep = epsilon_noiseless(inp)
+        assert rep == epsilon_noiseless(same) and hash(rep) == hash(epsilon_noiseless(same))
+        assert hash(rep) == hash((rep.epsilon, rep.delta, rep.warnings, inp))
+        assert rep != PrivacyReport(rep.epsilon, rep.delta, rep.warnings, BudgetInputs(0.1, 1, 11, 0.15))
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        inp = BudgetInputs(d=0.1, r=1, n=10, mu=0.15)
+        rep = epsilon_noiseless(inp)
+        for record, name in ((inp, "n"), (inp, "p"), (inp, "other"), (rep, "epsilon"), (rep, "inputs")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert inp == BudgetInputs(d=0.1, r=1, n=10, mu=0.15) and rep == epsilon_noiseless(inp)
+
+    def test_positional_and_keyword_construction(self):
+        keywords = {"d": 0.1, "r": 2, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, "c": 0.3, "delta": None}
+        inp = BudgetInputs(0.1, 2, 10, 0.15, 0.5, 2, 0.3)
+        assert inp == BudgetInputs(**keywords)
+        assert vars(inp) == keywords and list(vars(inp)) == list(keywords)
+        rep = PrivacyReport(1.0, 0.0, (), inp)
+        assert rep == PrivacyReport(epsilon=1.0, delta=0.0, warnings=(), inputs=inp)
+        assert list(vars(rep)) == ["epsilon", "delta", "warnings", "inputs"]
+
+    def test_missing_or_extra_fields_raise_type_error(self):
+        with pytest.raises(TypeError):
+            BudgetInputs(0.1, 1, 10)
+        with pytest.raises(TypeError):
+            BudgetInputs(d=0.1, r=1, mu=0.15)
+        with pytest.raises(TypeError):
+            BudgetInputs(0.1, 1, 10, 0.15, 0.5, 2, 0.3, 0.01, 1)
+        with pytest.raises(TypeError):
+            BudgetInputs(d=0.1, r=1, n=10, mu=0.15, beta=0.9)
+        with pytest.raises(TypeError):
+            PrivacyReport(1.0, 0.0, ())

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from shotdp.cli import _FIGURES, GRID_AXES, main
+from shotdp import BadConfigError
+from shotdp.cli import _FIGURES, GRID_AXES, _csv_rows, _fmt, _parse_grid, main
 
 
 def rows_of(csv_text):
@@ -151,6 +152,20 @@ class TestSweepCommand:
         assert rc == 2
         assert "step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, grid", [
+        ("delta", "1e-4:inf:1e-4"), ("n", "1:inf:1"), ("p", "nan:1:0.1"), ("d", "0:0.5:inf"), ("mu", "-inf:0.5:0.1"),
+    ])
+    def test_non_finite_grid_exits_two(self, axis, grid, capsys):
+        # Checked at the parser first: an infinite stop would otherwise make the sweep run forever.
+        with pytest.raises(BadConfigError, match="finite"):
+            _parse_grid(grid)
+        point = {"d": "0.1", "r": "1", "n": "10", "mu": "0.15"}
+        point.pop(axis, None)
+        flags = [arg for key, value in point.items() for arg in (f"--{key}", value)]
+        assert main(["sweep", "--axis", axis, f"--grid={grid}", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_axis_cannot_also_be_fixed(self, capsys):
         rc = main(["sweep", "--axis", "n", "--grid", "5:9:1", "--d", "0.1", "--r", "1", "--n", "3", "--mu", "0.15"])
         assert rc == 2
@@ -254,6 +269,40 @@ class TestStrictKeys:
         err = capsys.readouterr().err
         assert all(repr(key) in err for key in named)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("sweep", {"grid": 5, "axis": "n", "d": 0.1, "r": 1, "mu": 0.15}, "grid"),
+        ("sweep", {"grid": "1:3:1", "axis": ["n"], "d": 0.1, "r": 1, "mu": 0.15}, "axis"),
+        ("figures", {"which": ["fig3"], "out": "fig3.csv"}, "which"),
+        ("figures", {"which": "fig9", "out": "fig9.csv"}, "which"),
+        ("figures", {"which": "fig3", "out": 1}, "out"),
+        ("compute", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "regime": "noisy"}, "regime"),
+        ("compute", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "c": 0.3, "convention": 1}, "convention"),
+        ("compute", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "format": "xml"}, "format"),
+    ])
+    def test_mistyped_config_value_exits_two(self, command, config, named, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"configuration key {named!r}" in captured.err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json"]
+
+    def test_null_config_values_are_unset(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "regime": None, "format": None, "out": None}))
+        assert main(["compute", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["epsilon"] == pytest.approx(6.4215954, abs=1e-6)
+
+
+def test_csv_rows_print_every_number_as_fmt():
+    """The one row format matches `_fmt` cell by cell, integer axes included."""
+    cells = [5, 2**60 + 1, 12345678901, 0.1, 1e-300, 5e-324, 2.0 / 3.0, -0.0, float("inf"), float("-inf"), float("nan")]
+    flag_sets = [(), ("Divergent", "RegimeInvalid")]
+    rows = [(x, x / 3 if isinstance(x, int) else x, flag_sets[i % 2]) for i, x in enumerate(cells)]
+    expected = ["n,epsilon,warnings", *(f"{_fmt(a)},{_fmt(b)},{';'.join(flags)}" for a, b, flags in rows)]
+    assert _csv_rows(["n", "epsilon", "warnings"], rows) == "\n".join(expected) + "\n"
 
 
 class TestFiguresCommand:

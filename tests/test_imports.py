@@ -1,6 +1,7 @@
 """Import cost: the budget commands run on the standard library alone.
 
-Importing `shotdp` or `shotdp.cli` loads neither scipy nor numpy. The names
+Importing `shotdp` or `shotdp.cli` loads neither scipy nor numpy, nor the
+standard library's `dataclasses`, `inspect`, `statistics` or `json`. The names
 of `audit`, `shots` and `states` resolve on first use, to the same objects
 their modules define, and only then is numpy loaded. Each check runs in a
 fresh interpreter, since the test process has imported everything already.
@@ -28,6 +29,14 @@ def run_fresh(code: str, *args: str) -> str:
 
 def test_cli_import_leaves_scipy_unloaded():
     assert run_fresh("import sys, shotdp.cli; print('scipy' in sys.modules)").strip() == "False"
+
+
+def test_cli_import_leaves_heavy_stdlib_unloaded():
+    """The budget records, the normal quantile and JSON need none of these at import."""
+    code = "import sys; before = set(sys.modules); import shotdp.cli; print(sorted(set(sys.modules) - before))"
+    loaded = run_fresh(code)
+    assert "'shotdp.cli'" in loaded
+    assert [name for name in ("dataclasses", "inspect", "statistics", "json") if repr(name) in loaded] == []
 
 
 # Imports the package and the command line, then runs every golden budget
