@@ -16,9 +16,12 @@ checked bundle, and a sweep or figure checks its fixed parameters once,
 each axis value with that field's validator, then maps the kernel over the
 axis. Every number is emitted with 10 significant digits through one
 format, `.10g`, so JSON and CSV encode identical values and reruns are
-byte-identical. Exit codes, all returned by `main`: 0 success, 2
-configuration or validation error (an unknown flag included), 3 audit
-dominance failure.
+byte-identical. JSON comes from one writer, `_json_text`: sorted keys and
+a two-space indent, the bytes the standard library's encoder would write,
+without its pure-Python indenting encoder, a rounded copy of the report,
+or the `json` package (which loads only to read --config). Exit codes, all
+returned by `main`: 0 success, 2 configuration or validation error (an
+unknown flag included), 3 audit dominance failure.
 """
 
 from __future__ import annotations
@@ -29,7 +32,12 @@ import sys
 from operator import itemgetter
 
 from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
-from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_noise
+from .errors import BadConfigError, OutOfRangeError, ShotDPError, check_count, check_distance, check_noise
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 GRID_AXES = ("n", "p", "c", "delta", "d", "mu")
 
@@ -47,30 +55,98 @@ class RunConfig:
         self.format = format
 
 
-def _fmt(x) -> str:
-    """The `.10g` float format as text, for JSON; CSV rows use it in one row format."""
-    return f"{float(x):.10g}"
+# The `.10g` float format as text: JSON rounds every float through it, and
+# CSV rows print each number in the same format.
+_fmt = "{:.10g}".format
+# json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonify(obj):
-    """Recursively coerce report structures into JSON-stable primitives:
-    string keys, lists for tuples, and floats rounded by `_fmt`. Reports hold
-    Python numbers only, so bools, ints and strings pass through."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+def _float_text(x) -> str:
+    """One float rounded by `_fmt`, as json writes the rounded value;
+    rounding can carry a finite value near the largest double to inf."""
+    text = float.__repr__(float(_fmt(x)))
+    return _NONFINITE.get(text, text)
+
+
+def _float_texts(values):
+    """`_float_text` of each float in `values`, in C through `map` (no Python
+    frame per value) unless a rounded value is not finite."""
+    rounded = list(map(float, map(_fmt, values)))
+    if all(map(math.isfinite, rounded)):
+        return map(float.__repr__, rounded)
+    return map(_float_text, values)
+
+
+# Writers for values of exactly these types; subclasses, such as numpy's
+# float64, take the isinstance checks at the end of `_value_text`.
+_SCALAR_TEXT = {
+    str: _quote, float: _float_text, int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+}
+
+
+def _texts(values, newline: str):
+    """The JSON text of each value at the indent that `newline` ends in. A run
+    of plain floats, or of plain ints, takes the fast path, and so does a
+    table: plain dicts that share their keys in order, such as sweep rows.
+    Any other mix (a bool is not an int here) is written value by value."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return _float_texts(values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {dict} and values[0] and len(set(map(tuple, values))) == 1:
+        return _row_texts(values, newline)
+    return [_value_text(v, newline) for v in values]
+
+
+def _row_texts(rows, newline: str):
+    """Dicts that share their keys in order, written column by column: each
+    column takes `_texts` once, and one format string per table lays out
+    every row as `_value_text` would."""
+    inner = newline + "  "
+    # Text key -> key, so a later key wins a collision, as in `_value_text`.
+    names = dict(zip(map(str, rows[0]), rows[0]))
+    keys = sorted(names)
+    fields = ("," + inner).join(_quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    columns = [_texts(list(map(itemgetter(names[k]), rows)), inner) for k in keys]
+    return map(("{{" + inner + fields + newline + "}}").format, *columns)
+
+
+def _value_text(obj, newline: str) -> str:
+    """One value as JSON text, nested containers indented by two spaces
+    past `newline` (a newline and the current indent)."""
+    write = _SCALAR_TEXT.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        return "[" + inner + ("," + inner).join(_texts(obj, inner)) + newline + "]" if obj else "[]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # Keys become strings first, so a later key wins a collision and int keys sort as text.
+        named = dict(zip(map(str, obj), obj.values()))
+        keys = sorted(named)
+        items = map("{}: {}".format, map(_quote, keys), _texts(list(map(named.__getitem__, keys)), inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(_fmt(obj))
-    return obj
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    """A report structure as sorted, indented JSON text; `json` loads here, on
-    the JSON paths alone."""
-    import json
-
-    return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
+    """A report structure as JSON text: keys as strings, sorted, a two-space
+    indent, tuples as lists, and every float rounded to `.10g` first. The
+    bytes are those of `json.dumps(..., sort_keys=True, indent=2)` on that
+    rounded copy, plus a final newline, written without building the copy
+    or loading `json`."""
+    return _value_text(obj, "\n") + "\n"
 
 
 def _csv_rows(header: list[str], rows) -> str:
@@ -236,8 +312,33 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     return text
 
 
-def _parse_state(token, dim: int, default_diag: bool = False):
-    """State spec: 'basis:<j>', 'diag:a,b,...', a nested matrix, or None."""
+def _index(value, key: str, dim: int) -> int:
+    """A basis index given under `key`: an integer in [0, dim), or its
+    decimal text; bools, fractions and other text exit 2 with the key named."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    index = check_count(value, f"{key} index", minimum=0)
+    if index >= dim:
+        raise OutOfRangeError(f"OutOfRange: {key} index {index} outside [0, {dim})")
+    return index
+
+
+def _real_entry(text: str, key: str) -> float:
+    """A diag entry given under `key` as text: a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise BadConfigError(f"BadConfig: {key} diag entries must be finite real numbers, got {text!r}")
+    return value
+
+
+def _parse_state(token, dim: int, key: str, default_diag: bool = False):
+    """State spec under `key`: 'basis:<j>', 'diag:a,b,...', a nested matrix, or None."""
     import numpy as np
 
     from .states import basis_state, make_density, maximally_mixed
@@ -253,9 +354,9 @@ def _parse_state(token, dim: int, default_diag: bool = False):
         if token == "mixed":
             return maximally_mixed(dim)
         if token.startswith("basis:"):
-            return basis_state(dim, int(token.split(":", 1)[1]))
+            return basis_state(dim, _index(token.split(":", 1)[1], key, dim))
         if token.startswith("diag:"):
-            diag = [float(part) for part in token.split(":", 1)[1].split(",")]
+            diag = [_real_entry(part, key) for part in token.split(":", 1)[1].split(",")]
             if len(diag) != dim:
                 raise BadConfigError(f"BadConfig: diag state needs {dim} entries, got {len(diag)}")
             return make_density(np.diag(diag))
@@ -264,14 +365,18 @@ def _parse_state(token, dim: int, default_diag: bool = False):
 
 
 def _parse_projector(token, dim: int):
+    """Projector spec: comma-separated basis indices as text, a list of
+    indices, or None for index 0."""
     from .states import basis_columns, make_projector
 
     if token is None:
         indices = [0]
     elif isinstance(token, str):
-        indices = [int(part) for part in token.split(",") if part != ""]
+        indices = [_index(part, "projector", dim) for part in token.split(",") if part != ""]
+    elif isinstance(token, list):
+        indices = [_index(part, "projector", dim) for part in token]
     else:
-        indices = [int(part) for part in token]
+        raise BadConfigError(f"BadConfig: projector must be comma-separated indices or a list of them, got {token!r}")
     return make_projector(basis_columns(dim, indices))
 
 
@@ -301,8 +406,8 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     trials = check_count(setting("trials", 100000), "trials")
     seed = cfg.seed
     p = None if params.get("p") is None else check_noise(params["p"], allow_zero=True)
-    rho = _parse_state(params.get("state"), dim, default_diag=True)
-    anchor = _parse_state(params.get("anchor"), dim)
+    rho = _parse_state(params.get("state"), dim, "state", default_diag=True)
+    anchor = _parse_state(params.get("anchor"), dim, "anchor")
     sigma = neighbor_state(rho, d, anchor)
     ch = depolarizing_channel(p, dim) if p is not None else identity_channel(dim)
     regime = "depolarizing" if p is not None else "noiseless"

@@ -243,10 +243,35 @@ def sample_means(mu: float, n: int, trials: int, seed: int) -> np.ndarray:
     return _sample_counts(binomial_distribution(mu, n).probs, trials, seed) / float(n)
 
 
-def _sample_counts(probs: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """`trials` counts drawn from the law `probs`: slot t of the Philox
-    stream keyed by `seed`, inverted through the cumulative law."""
+def _cdf_and_uniforms(probs: np.ndarray, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative law of `probs`, and slots 0..trials-1 of the Philox
+    stream keyed by `seed` as uniforms in [0, 1)."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0  # close the float gap so every uniform lands in a bin
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return np.searchsorted(cdf, rng.random(trials), side="right")
+    return cdf, np.random.Generator(np.random.Philox(key=seed)).random(trials)
+
+
+def _sample_counts(probs: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """`trials` counts drawn from the law `probs`, in slot order: uniform t
+    becomes the count k with cdf[k-1] <= u < cdf[k], the first k with u < cdf[k]."""
+    cdf, u = _cdf_and_uniforms(probs, trials, seed)
+    return np.searchsorted(cdf, u, side="right")
+
+
+def _sample_histogram(probs: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """The histogram of `_sample_counts(probs, trials, seed)` over 0..n,
+    without drawing the counts one by one.
+
+    A uniform u becomes the first count k with u < cdf[k], and u < cdf[k]
+    is monotone in k: the running sum never decreases, and the last entry,
+    set to 1, is above every u even where the sum passed 1 a count early.
+    So the uniforms whose count is at most k are exactly those below
+    cdf[k]: with the uniforms sorted, one binary search per count gives
+    that number, and the histogram is its first difference. This is
+    exactly `np.bincount(_sample_counts(...), minlength=n + 1)`, at the
+    cost of one sort of the uniforms instead of a random-order search per
+    trial, and with no per-trial index array.
+    """
+    cdf, u = _cdf_and_uniforms(probs, trials, seed)
+    u.sort()
+    return np.diff(np.searchsorted(u, cdf, side="left"), prepend=0)

@@ -33,6 +33,7 @@ from shotdp import (
     qdp_check,
     sample_means,
 )
+from shotdp.audit import _log_ratio
 from conftest import random_density, random_projector
 
 
@@ -441,6 +442,22 @@ class TestMonteCarloAudit:
         for label, mu, child in (("0", 0.25, children[0]), ("1", 0.15, children[1])):
             counts = np.rint(sample_means(mu, n, trials, int(child)) * n).astype(int)
             assert rep.details[f"empirical_p{label}"] == (np.bincount(counts, minlength=n + 1) / trials).tolist()
+
+    @pytest.mark.parametrize("mu0, mu1, n, trials", [(0.25, 0.15, 10, 5000), (0.3, 0.15, 400, 2000), (0.02, 0.9, 30, 1000)])
+    def test_estimates_equal_the_per_outcome_loop(self, mu0, mu1, n, trials):
+        """The array form of the estimates and their errors matches a loop over the outcomes, bit for bit."""
+        rep = monte_carlo_audit(mu0, mu1, n, trials, seed=4)
+        emp0, emp1 = np.array(rep.details["empirical_p0"]), np.array(rep.details["empirical_p1"])
+        log_ratio = _log_ratio(mu0, mu1, n, np.arange(n + 1))
+        eps_hat, errors, excluded = {}, {}, []
+        for k in range(n + 1):
+            if emp0[k] > 0 and emp1[k] > 0:
+                eps_hat[k] = math.log(emp0[k] / emp1[k])
+                errors[k] = abs(eps_hat[k] - float(log_ratio[k]))
+            else:
+                excluded.append(k)
+        assert rep.details["epsilon_hat"] == eps_hat and rep.details["epsilon_hat_abs_error"] == errors
+        assert rep.excluded_outcomes == tuple(excluded) and all(type(k) is int for k in excluded)
 
     def test_report_metadata(self):
         rep = monte_carlo_audit(0.25, 0.15, 10, 5000, seed=9)

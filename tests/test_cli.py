@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shotdp import BadConfigError
-from shotdp.cli import _FIGURES, GRID_AXES, _csv_rows, _fmt, _parse_grid, main
+from shotdp.cli import _FIGURES, GRID_AXES, _csv_rows, _fmt, _json_text, _parse_grid, main
 
 
 def rows_of(csv_text):
@@ -305,6 +307,87 @@ def test_csv_rows_print_every_number_as_fmt():
     assert _csv_rows(["n", "epsilon", "warnings"], rows) == "\n".join(expected) + "\n"
 
 
+def _jsonify(obj):
+    """The report-to-primitives copy that JSON output was once built from:
+    string keys, lists for tuples, floats rounded through `.10g`."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, float):
+        return float(f"{float(obj):.10g}")
+    return obj
+
+
+def reference_json_text(obj) -> str:
+    """The oracle for `_json_text`: the standard library's encoder on the rounded copy."""
+    return json.dumps(_jsonify(obj), sort_keys=True, indent=2) + "\n"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e10, 9999999999.5,
+                1e16 - 2.0, 123456789012345.6, 3.0, -7.0, 2.0**53, 1e-5, 9.99999999995e-5, 0.1, 1e300,
+                1.7976931345e308, -1.7976931348623157e308]
+_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e10, max_value=1e16, exclude_max=True),
+    st.floats(min_value=-1e-307, max_value=1e-307),
+    st.integers(min_value=-2**60, max_value=2**60).map(float),
+)
+_ints = st.one_of(st.integers(min_value=-20, max_value=20), st.integers(min_value=-2**200, max_value=2**200))
+_strings = st.text(st.one_of(st.sampled_from('"\\/\x00\x01\x1f\x7f\b\f\n\r\té\u2028\U0001f600'), st.characters()))
+_scalars = st.one_of(_floats, _ints, st.booleans(), st.none(), _strings)
+_keys = st.one_of(_strings, _ints, st.booleans(), st.none(), _floats)
+
+
+def _tables(cells):
+    """Lists of dicts that share their keys in order, like sweep rows; keys may collide as text."""
+    return st.lists(_keys, min_size=1, max_size=4).flatmap(
+        lambda keys: st.lists(st.lists(cells, min_size=len(keys), max_size=len(keys)), max_size=5).map(
+            lambda rows: [dict(zip(keys, row)) for row in rows]))
+
+
+# Report-like nesting: dicts of arrays and of dicts, tables, runs of one type (the fast paths) and mixes.
+_reports = st.recursive(
+    st.one_of(_scalars, *(st.lists(leaf, max_size=8) for leaf in (_floats, _ints, _scalars)), _tables(_scalars)),
+    lambda inner: st.one_of(st.lists(inner, max_size=8), st.lists(inner, max_size=8).map(tuple),
+                            st.dictionaries(_keys, inner, max_size=8), _tables(inner)),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """`_json_text` writes exactly what the standard library's encoder writes."""
+
+    @settings(max_examples=150)
+    @given(_reports)
+    @example({10: 1.0, 9: 2, "10": "later key wins", 1: [], "": {}})
+    @example({"a": [1.0, math.nan, math.inf, -math.inf, -0.0], "b": (True, False, None, 2**80)})
+    @example([1.7976931345e308, -1.7976931348623157e308, 1.0])  # finite values that round to +-inf
+    @example([{"{a}": 1.0, "b}": [2, {}], 1: None, "1": "x"}, {"{a}": math.nan, "b}": [], 1: True, "1": "y"}])
+    @example([{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}])  # the same keys in another order are not a table
+    def test_matches_standard_library_encoder(self, obj):
+        assert _json_text(obj) == reference_json_text(obj)
+
+    @pytest.mark.parametrize("values", [
+        [1, 2.0], [2.0, 1], [1.0, True], [True, 1], [1, True], [1.0, None], [1.5, "x"], [1, [2.0]],
+        [1.0, np.float64(2.5)], [np.float64(math.nan), 1.0], (1, 2, 3), (0.1, -0.0),
+        [{"a": 1.0}, {"b": 2}], [{"a": 1.0}, {"a": 2.0, "b": 3}], [{}, {}], [{"a": 1}, {}], [{"a": 1}, [1]],
+    ])
+    def test_mixed_lists_bypass_the_fast_paths(self, values):
+        """Bools are not ints, numpy floats are not plain floats, and dicts with other keys are not a
+        table here, but each is written as json would."""
+        for obj in (values, {"k": values}, {str(i): v for i, v in enumerate(values)}):
+            assert _json_text(obj) == reference_json_text(obj)
+
+    @pytest.mark.parametrize("obj", [{1, 2}, np.int64(3), [np.int64(3)], {"k": object()}, b"bytes", 1j])
+    def test_what_json_rejects_raises_type_error(self, obj):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            reference_json_text(obj)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _json_text(obj)
+
+
 class TestFiguresCommand:
     """Bundled reference sweeps."""
 
@@ -435,6 +518,43 @@ class TestAuditCommand:
         rc = main(["audit", "--state", "basis:0", "--trials", "2000"])
         assert rc == 2
         assert "DegenerateMu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--projector", "0,x"], "projector index"),
+        (["--state", "basis:x"], "state index"),
+        (["--state", "basis:7"], "state index 7"),
+        (["--state", "diag:a,0.5"], "state diag entries"),
+        (["--state", "diag:nan,0.5"], "state diag entries"),
+        (["--anchor", "basis:y"], "anchor index"),
+        (["--anchor", "basis:-1"], "anchor index"),
+    ])
+    def test_malformed_spec_flag_exits_two_and_names_its_key(self, flags, named, capsys):
+        assert main(["audit", "--trials", "1000", *flags]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("projector, named", [
+        (5, "projector must be"),
+        ([0.5], "projector index"),
+        ([True], "projector index"),
+        ([-1], "projector index"),
+        (["x"], "projector index"),
+        ([2], "projector index 2"),
+    ])
+    def test_malformed_config_projector_exits_two_and_names_its_key(self, projector, named, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"projector": projector, "trials": 1000}))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("projector", ["1", [1], ["1"], [1.0]])
+    def test_projector_index_forms_agree(self, projector, tmp_path, capsys):
+        """Text, integer, decimal-string and integral-float indices name the same projector."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"projector": projector, "trials": 1000}))
+        assert main(["audit", "--config", str(cfg)]) == 0
+        assert main(["audit", "--projector", "1", "--trials", "1000"]) == 0
+        config_run, flag_run = capsys.readouterr().out.split("\n}\n")[:2]
+        assert config_run == flag_run
 
 
 class TestConsoleEntryPoint:

@@ -1,7 +1,8 @@
 """Import cost: the budget commands run on the standard library alone.
 
 Importing `shotdp` or `shotdp.cli` loads neither scipy nor numpy, nor the
-standard library's `dataclasses`, `inspect`, `statistics` or `json`. The names
+standard library's `dataclasses`, `inspect`, `statistics` or `json`, and the
+JSON budget commands still leave `json` unloaded. The names
 of `audit`, `shots` and `states` resolve on first use, to the same objects
 their modules define, and only then is numpy loaded. Each check runs in a
 fresh interpreter, since the test process has imported everything already.
@@ -78,6 +79,30 @@ def test_audit_after_budget_commands_loads_numpy_and_matches_golden(commands_run
     codes, numpy_after, out = commands_run
     assert codes["audit_default.json"] == 0 and numpy_after["audit_default.json"]
     assert (out / "audit_default.json").read_bytes() == (GOLDEN / "audit_default.json").read_bytes()
+
+
+# Runs each JSON budget command in a fresh process that never imports json
+# itself; prints the exit codes, then whether json was loaded before the
+# commands and after them.
+_JSON_FREE_PROBE = """
+import sys
+import shotdp.cli
+out, names = sys.argv[1], sys.argv[2::2]
+json_before = "json" in sys.modules
+codes = [shotdp.cli.main([*argv.split(), "--out", f"{out}/{name}"]) for name, argv in zip(names, sys.argv[3::2])]
+print(*codes, json_before, "json" in sys.modules)
+"""
+
+
+def test_json_output_leaves_json_unloaded(tmp_path):
+    """JSON output is written without the json package, and still matches the goldens."""
+    cases = {name: argv for name, argv in _BUDGET_CASES.items() if name.endswith(".json")}
+    assert {argv[0] for argv in cases.values()} == {"compute", "sweep"}
+    args = [item for name, argv in cases.items() for item in (name, " ".join(argv))]
+    *codes, json_before, json_after = run_fresh(_JSON_FREE_PROBE, str(tmp_path), *args).split()
+    assert codes == ["0"] * len(cases) and (json_before, json_after) == ("False", "False")
+    for name in cases:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 # Resolves a submodule through the package first, then every public name, by

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from shotdp import (
@@ -16,6 +18,7 @@ from shotdp import (
     sample_means,
     single_shot_variance,
 )
+from shotdp.shots import _sample_counts, _sample_histogram
 
 
 def llr_oracle(x, mu0, mu1, n):
@@ -203,6 +206,25 @@ class TestSampleMeans:
         counts = np.bincount(np.rint(x * n).astype(int), minlength=n + 1)
         exact = binomial_distribution(mu, n).probs
         np.testing.assert_allclose(counts / trials, exact, atol=5.0 * math.sqrt(1.0 / trials))
+
+    @given(
+        mu=st.one_of(
+            st.sampled_from([0.0, 1.0, 0.5]),
+            st.floats(min_value=1e-300, max_value=1e-3),  # the cdf reaches 1 within a few counts
+            st.floats(min_value=1.0 - 1e-3, max_value=1.0 - 2.0**-53),  # the cdf stays near 0 until the last counts
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        n=st.one_of(st.just(1), st.integers(min_value=1, max_value=2000)),
+        trials=st.integers(min_value=1, max_value=3000),
+        seed=st.one_of(st.just(2**64 - 1), st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    @example(mu=0.01, n=9, trials=3000, seed=5)  # the running sum passes 1 before the last count
+    def test_histogram_is_bincount_of_the_draws(self, mu, n, trials, seed):
+        """Sort-and-count gives the histogram of the per-trial draws, count for count."""
+        probs = binomial_distribution(mu, n).probs
+        histogram = _sample_histogram(probs, trials, seed)
+        assert histogram.shape == (n + 1,) and histogram.sum() == trials
+        np.testing.assert_array_equal(histogram, np.bincount(_sample_counts(probs, trials, seed), minlength=n + 1))
 
     def test_invalid_arguments(self):
         with pytest.raises(OutOfRangeError):
