@@ -99,22 +99,26 @@ def _log_quotient(num: float, den: float, gap: float) -> float:
     return math.log(num) - math.log(den)
 
 
+def _slopes(mu0: float, mu1: float, n: int) -> tuple[int, float, float]:
+    """Checked n and the two slopes log(mu0 / mu1), log((1 - mu0) / (1 - mu1))
+    of the per-count log ratio, each within a few units in the last place for
+    means at or above the smallest normal double."""
+    mu0 = check_mean(mu0, "mean mu0")
+    mu1 = check_mean(mu1, "mean mu1")
+    n = check_count(n, "shots n")
+    return n, _log_quotient(mu0, mu1, mu0 - mu1), _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
+
+
 def _log_ratio(mu0: float, mu1: float, n: int, k):
     """Per-count log ratio log P0(k) - log P1(k) of the two n-shot count laws.
 
     The binomial coefficients cancel, leaving the affine form
 
-        k log(mu0 / mu1) + (n - k) log((1 - mu0) / (1 - mu1))
+        k log(mu0 / mu1) + (n - k) log((1 - mu0) / (1 - mu1)).
 
-    whose two logs are each within a few units in the last place for means
-    at or above the smallest normal double. `k` may be a scalar or an array
-    of counts.
+    `k` may be a scalar or an array of counts.
     """
-    mu0 = check_mean(mu0, "mean mu0")
-    mu1 = check_mean(mu1, "mean mu1")
-    n = check_count(n, "shots n")
-    lead = _log_quotient(mu0, mu1, mu0 - mu1)
-    trail = _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
+    n, lead, trail = _slopes(mu0, mu1, n)
     return k * lead + (n - k) * trail
 
 
@@ -126,7 +130,10 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     k = n: n |log((1-mu0)/(1-mu1))| or n |log(mu0/mu1)|. Both means must
     lie strictly inside (0, 1).
     """
-    return max(abs(_log_ratio(mu0, mu1, n, 0)), abs(_log_ratio(mu0, mu1, n, n)))
+    # Rounding is monotone and sign-symmetric, so this is bit for bit the
+    # larger of |_log_ratio| at k = 0 and k = n, from one pair of logs.
+    n, lead, trail = _slopes(mu0, mu1, n)
+    return n * max(abs(lead), abs(trail))
 
 
 def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:

@@ -9,12 +9,16 @@ Four budgets are provided, indexed by noise regime and accounting style:
 
 Each accounting style is one scalar kernel on checked numbers: `_pure` and
 `_tail` take the regime, the fields d, r, n, mu, p, D, c, delta and the
-convention, and return (epsilon, delta, c, flags). The public functions
-check a `BudgetInputs` bundle, call a kernel and return a `PrivacyReport`
-with warning flags for regimes where a formula is outside its comfort zone;
-`shots_for_budget` calls the pure kernel per candidate shot count, and CLI
-sweeps check each axis value with its validator in `_FIELD_CHECKS` and map a
-kernel over the axis. `mu` is always the smaller of the two outcome means.
+convention, and return (epsilon, delta, c, flags), with flags `()` when
+none applies. Each field has one validator in `errors`, listed in
+`_FIELD_CHECKS`: `BudgetInputs` calls them in field order when it is built,
+and CLI sweeps call the axis field's one per axis value. The public
+functions take a checked bundle, add the checks that depend on the budget
+(`_arguments`), call a kernel on the bundle's values and return a
+`PrivacyReport` with warning flags for regimes where a formula is outside
+its comfort zone; `shots_for_budget` calls the pure kernel per candidate
+shot count, and sweeps map a kernel over their axis. `mu` is always the
+smaller of the two outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
 `delta_from_c` / `c_from_delta`.
 """
@@ -44,7 +48,7 @@ from .errors import (
 )
 
 erfc = math.erfc
-"""Complementary error function (absolute error well under 1e-7 for |x| <= 6)."""
+"""Complementary error function: `math.erfc`, re-exported."""
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -55,8 +59,9 @@ def _normal_quantile(q: float) -> float:
     return _normal_dist_inv_cdf(q, 0.0, 1.0)
 
 
-# Each field's one validator, in the kernels' argument order. BudgetInputs
-# and the command line's sweeps both read this table.
+# Each field's one validator, in the kernels' argument order. The command
+# line's sweeps read this table; BudgetInputs calls the same validators
+# directly, which a test checks against the table.
 _FIELD_CHECKS = {
     "d": check_distance,
     "r": lambda r: check_count(r, "rank r"),
@@ -102,10 +107,12 @@ class _Record:
 class BudgetInputs(_Record):
     """Parameter bundle shared by the budget formulas.
 
-    Every field is checked on construction by its validator in `errors`
-    and stored as the value it returns. Counts are stored as `int` (an
-    integral float such as 10.0 is converted) and the other fields as
-    `float`; a bool or a non-number is rejected.
+    Every field is checked on construction by its one validator in
+    `errors` (the table `_FIELD_CHECKS`), in field order, so an error names
+    the first bad field; p, D, c and delta may be None and are then not
+    checked. Each field is stored as the value its validator returns:
+    counts as `int` (an integral float such as 10.0 is converted) and the
+    other fields as `float`; a bool or a non-number is rejected.
 
     Attributes
     ----------
@@ -131,10 +138,19 @@ class BudgetInputs(_Record):
 
     def __init__(self, d: float, r: int, n: int, mu: float, p: float | None = None, D: int | None = None,
                  c: float | None = None, delta: float | None = None):
-        # The record is frozen, so the checked values go straight into its dict.
-        fields = self.__dict__
-        for (name, check), value in zip(_FIELD_CHECKS.items(), (d, r, n, mu, p, D, c, delta)):
-            fields[name] = check(value) if value is not None or name in _REQUIRED else None
+        # The validators of _FIELD_CHECKS, called in field order, so the first
+        # bad field is the one reported. The record is frozen, so the checked
+        # values go straight into its dict.
+        self.__dict__.update(
+            d=check_distance(d),
+            r=check_count(r, "rank r"),
+            n=check_count(n, "shots n"),
+            mu=check_mean(mu),
+            p=None if p is None else check_noise(p),
+            D=None if D is None else check_count(D, "dimension D"),
+            c=None if c is None else check_cutoff(c),
+            delta=None if delta is None else check_delta(delta),
+        )
 
 
 class PrivacyReport(_Record):
@@ -149,13 +165,6 @@ class PrivacyReport(_Record):
 
     def __init__(self, epsilon: float, delta: float, warnings: tuple[str, ...], inputs: BudgetInputs):
         self.__dict__.update(epsilon=epsilon, delta=delta, warnings=warnings, inputs=inputs)
-
-
-def _value_flags(epsilon: float, flags: list[str]) -> tuple[str, ...]:
-    # Divergent marks any epsilon a caller must not trust as a budget.
-    if not math.isfinite(epsilon) or epsilon < 0.0:
-        flags.append("Divergent")
-    return tuple(flags)
 
 
 def _depolarizing_scale(p: float, d: float, r: int, dim: int) -> float:
@@ -253,7 +262,9 @@ def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tup
     """
     scale, quadratic = _pure_coefficients(regime, d, r, mu, p, D)
     eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(n) + quadratic * n / (1.0 - mu))
-    return eps, 0.0, c, _value_flags(eps, ["RegimeNegativeTerm"] if mu > 0.5 else [])
+    flags = ("RegimeNegativeTerm",) if mu > 0.5 else ()
+    # Divergent marks any epsilon a caller must not trust as a budget.
+    return eps, 0.0, c, flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
 
 
 def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
@@ -274,15 +285,15 @@ def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
     else:
         a = _depolarizing_scale(p, d, r, D)
         scale, u = a / (1.0 - mu), n * a
-    flags = ["DeltaExceedsOne"] if delta > 1.0 else ["DeltaUnderflow"] if delta == 0.0 else []
+    flags = ("DeltaExceedsOne",) if delta > 1.0 else ("DeltaUnderflow",) if delta == 0.0 else ()
     denom = 1.0 - mu - u
     if denom <= 0.0:
-        flags.append("RegimeInvalid")
+        flags += ("RegimeInvalid",)
     if denom == 0.0:
         eps = float("-inf") if scale > 0.0 else 0.0
     else:
         eps = scale * ((1.0 - 2.0 * mu - u) * c * c / (2.0 * mu * denom) + c + u / 2.0)
-    return eps, delta, c, _value_flags(eps, flags)
+    return eps, delta, c, flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
 
 
 def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> list:
@@ -295,7 +306,8 @@ def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper"
         raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
     if kernel is _tail and (inp.c is None) == (inp.delta is None):
         raise BadConfigError("BadConfig: supply exactly one of c and delta")
-    return [inp.d, inp.r, inp.n, inp.mu, inp.p, inp.D, inp.c, inp.delta, check_convention(convention)]
+    # The bundle's dict holds d, r, n, mu, p, D, c, delta in that order.
+    return [*inp.__dict__.values(), check_convention(convention)]
 
 
 def _evaluate(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:

@@ -361,7 +361,13 @@ def _parse_state(token, dim: int, key: str, default_diag: bool = False):
                 raise BadConfigError(f"BadConfig: diag state needs {dim} entries, got {len(diag)}")
             return make_density(np.diag(diag))
         raise BadConfigError(f"BadConfig: unknown state spec {token!r}")
-    return make_density(np.array(token, dtype=complex))
+    try:
+        matrix = np.array(token, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # a non-numeric or too large entry, or ragged rows
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        raise BadConfigError(f"BadConfig: {key} matrix must have rows of finite numbers of equal length, got {token!r}")
+    return make_density(matrix)
 
 
 def _parse_projector(token, dim: int):

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from shotdp import (
@@ -34,6 +35,7 @@ from shotdp import (
     sample_means,
 )
 from shotdp.audit import _log_ratio
+from shotdp.errors import check_count, check_mean
 from conftest import random_density, random_projector
 
 
@@ -87,6 +89,43 @@ class TestExactEpsilon:
                 want = float(10 * max(abs(mpmath.log(a / b)), abs(mpmath.log((1 - a) / (1 - b)))))
             assert exact_epsilon(mu0, mu1, 10) == pytest.approx(want, rel=1e-15, abs=0.0)
         assert exact_epsilon(0.99, 1e-310, 10) == pytest.approx(7137.913284923007, rel=1e-15, abs=0.0)
+
+
+_TINY = sys.float_info.min
+# Means anywhere in (0, 1), near the smallest normal double (subnormals
+# included), and near 1: pairs of them reach every branch of `_log_quotient`,
+# including quotients that overflow or fall below the normal range.
+_MEANS = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(5e-324, 16 * _TINY),
+    st.floats(1.0 - 2.0**-20, 1.0, exclude_max=True),
+    st.sampled_from([5e-324, 1e-310, _TINY, 0.5, 0.99, 1.0 - 2.0**-53]),
+)
+_ANY = st.one_of(_MEANS, st.floats(), st.integers(-2, 3), st.booleans(), st.none(), st.just("0.5"))
+
+
+class TestExactEpsilonMatchesEndpointRatios:
+    """`exact_epsilon` is the larger endpoint |log ratio|, bit for bit."""
+
+    @given(_MEANS, _MEANS, st.one_of(st.integers(1, 100), st.integers(1, 2**80)))
+    @example(0.99, 1e-310, 10)
+    @example(1e-310, 0.99, 10)
+    @example(0.7, 5e-324, 3)
+    @example(0.3, 0.3, 10)
+    def test_equals_the_larger_endpoint_ratio(self, mu0, mu1, n):
+        want = max(abs(_log_ratio(mu0, mu1, n, 0)), abs(_log_ratio(mu0, mu1, n, n)))
+        assert exact_epsilon(mu0, mu1, n) == want
+
+    @given(_ANY, _ANY, st.one_of(st.integers(-2, 100), st.floats(), st.booleans(), st.none()))
+    def test_same_error_as_the_checks_in_order(self, mu0, mu1, n):
+        try:
+            check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                exact_epsilon(mu0, mu1, n)
+            assert str(raised.value) == str(exc)
+        else:
+            assert exact_epsilon(mu0, mu1, n) >= 0.0
 
 
 class TestHockeyStick:

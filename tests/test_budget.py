@@ -6,6 +6,8 @@ import statistics
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from shotdp import (
     BadConfigError,
@@ -437,6 +439,110 @@ class TestBudgetInputsValidation:
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, delta=float("inf"))
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("nan"))
+
+
+_OMIT = object()
+
+# Values that each validator accepts, with None or an absent key for the optional fields.
+_VALID = {
+    "d": st.floats(0.0, 1.0),
+    "r": st.integers(1, 64),
+    "n": st.one_of(st.integers(1, 10**6), st.integers(1, 10**6).map(float)),
+    "mu": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "p": st.one_of(st.just(_OMIT), st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+    "D": st.one_of(st.just(_OMIT), st.none(), st.integers(1, 16)),
+    "c": st.one_of(st.just(_OMIT), st.none(), st.floats(0.0, 1e3, exclude_min=True)),
+    "delta": st.one_of(st.just(_OMIT), st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+}
+# Anything a caller might pass: in and out of range, bools, integral floats,
+# numpy scalars, None, non-finite floats and non-numbers.
+_ANY = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2**70),
+    st.integers(-3, 2000).map(float),
+    st.floats(),
+    st.floats(-0.5, 1.5),
+    st.sampled_from([np.float64(0.25), np.float32(0.1), np.int64(3), np.int32(0), np.float64(10.0),
+                     np.float16(1.0), np.bool_(True), np.uint8(7)]),
+    st.sampled_from(["0.1", "abc", [0.1], 1 + 0j]),
+)
+
+
+@st.composite
+def _field_values(draw):
+    """Keyword arguments for BudgetInputs: valid values, with up to three fields
+    replaced by arbitrary ones, so that both the first-bad-field order and
+    clean records are drawn."""
+    arbitrary = draw(st.sets(st.sampled_from(tuple(_VALID)), max_size=3))
+    values = {name: draw(_ANY if name in arbitrary else strategy) for name, strategy in _VALID.items()}
+    return {name: value for name, value in values.items() if value is not _OMIT}
+
+
+def _table_record(values):
+    """The record as the `_FIELD_CHECKS` table defines it, checked in field order."""
+    return {
+        name: None if values.get(name) is None and name not in budget._REQUIRED else check(values.get(name))
+        for name, check in budget._FIELD_CHECKS.items()
+    }
+
+
+class TestBudgetInputsMatchesTable:
+    """The straight-line constructor stores and rejects exactly what the table does."""
+
+    @given(_field_values())
+    def test_same_record_or_same_error(self, values):
+        try:
+            want = _table_record(values)
+        except Exception as exc:  # the first failing field's error
+            with pytest.raises(type(exc)) as raised:
+                BudgetInputs(**values)
+            assert str(raised.value) == str(exc)
+            return
+        got = BudgetInputs(**values).__dict__
+        assert list(got) == list(budget._FIELD_CHECKS)
+        assert [(type(v), repr(v)) for v in got.values()] == [(type(v), repr(v)) for v in want.values()]
+
+
+class TestKernelFlags:
+    """The kernels' flags follow the flag rules, Divergent last."""
+
+    @staticmethod
+    def _divergent(eps, flags):
+        return (*flags, "Divergent") if not math.isfinite(eps) or eps < 0.0 else tuple(flags)
+
+    @given(
+        st.sampled_from(["noiseless", "depolarizing"]),
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.integers(1, 10**7),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1e-6, 1.0),
+        st.integers(1, 8),
+    )
+    @example("noiseless", 1.0, 1, 10, 5e-324, 0.5, 2)  # epsilon overflows to inf
+    @example("noiseless", 0.1, 1, 10, 0.5, 0.5, 2)  # mu = 1/2 has no negative term
+    def test_pure_flags(self, regime, d, r, n, mu, p, dim):
+        eps, delta, c, flags = budget._pure(regime, d, r, n, mu, p, dim)
+        assert (delta, c) == (0.0, None)
+        assert flags == self._divergent(eps, ["RegimeNegativeTerm"] if mu > 0.5 else [])
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.integers(1, 4),
+        st.integers(1, 10**7),
+        st.floats(1e-3, 1.0, exclude_max=True),
+        st.floats(1e-12, 1e3),
+        st.booleans(),
+    )
+    @example(0.0, 1, 10, 0.15, 1e-300, False)  # delta rounds to exactly 1
+    def test_tail_flags(self, d, r, n, mu, c, paper):
+        eps, delta, c_out, flags = budget._tail("noiseless", d, r, n, mu, None, None, c, None, paper)
+        want = ["DeltaExceedsOne"] if delta > 1.0 else ["DeltaUnderflow"] if delta == 0.0 else []
+        if 1.0 - mu - n * d * r <= 0.0:
+            want.append("RegimeInvalid")
+        assert c_out == c
+        assert flags == self._divergent(eps, want)
 
 
 class TestRecords:

@@ -546,6 +546,20 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["state", "anchor"])
+    @pytest.mark.parametrize("matrix", [
+        [["a", "b"], ["c", "d"]],
+        [[1, 0], [0]],
+        [[1, None], [0, 0]],
+        [[10**400, 0], [0, 0]],
+        {"rows": [[1, 0], [0, 0]]},
+    ])
+    def test_malformed_config_matrix_exits_two_and_names_its_key(self, key, matrix, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: matrix, "trials": 1000}))
+        assert main(["audit", "--config", str(cfg)]) == 2
+        assert f"{key} matrix" in capsys.readouterr().err
+
     @pytest.mark.parametrize("projector", ["1", [1], ["1"], [1.0]])
     def test_projector_index_forms_agree(self, projector, tmp_path, capsys):
         """Text, integer, decimal-string and integral-float indices name the same projector."""
