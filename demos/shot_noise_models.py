@@ -7,25 +7,20 @@ hypotheses, and deterministic counter-based sampling.
 
 import numpy as np
 
-from shotdp import (
-    binomial_distribution,
-    log_likelihood_ratio,
-    normal_model,
-    sample_means,
-)
+from shotdp import binomial_distribution, log_likelihood_ratio, sample_means
 
 
 def main():
     mu, n = 0.15, 10
-    dist = binomial_distribution(mu, n)
-    model = normal_model(mu, n)
+    probs = binomial_distribution(mu, n)
+    variance = mu * (1 - mu) / n  # of the normal surrogate N(mu, mu(1-mu)/n)
     print(f"Outcome law of n={n} shots at mu={mu}")
-    print(f"  normal surrogate: mean {model.mean}, std {model.variance ** 0.5:.6f}")
+    print(f"  normal surrogate: mean {mu}, std {variance ** 0.5:.6f}")
     print("  k   exact P(k)     normal density x 1/n")
     grid = np.arange(n + 1) / n
-    dens = np.exp(-((grid - model.mean) ** 2) / (2 * model.variance)) / np.sqrt(2 * np.pi * model.variance)
+    dens = np.exp(-((grid - mu) ** 2) / (2 * variance)) / np.sqrt(2 * np.pi * variance)
     for k in range(n + 1):
-        print(f"  {k:2d}  {dist.probs[k]:.6e}   {dens[k] / n:.6e}")
+        print(f"  {k:2d}  {probs[k]:.6e}   {dens[k] / n:.6e}")
     print()
 
     mu0, mu1 = 0.25, 0.15
@@ -47,7 +42,7 @@ def main():
     x = sample_means(mu, n, trials, seed=42)
     print(f"\n  empirical mean over {trials} trials: {x.mean():.6f} (exact {mu})")
     counts = np.bincount(np.rint(x * n).astype(int), minlength=n + 1)
-    worst = np.max(np.abs(counts / trials - dist.probs))
+    worst = np.max(np.abs(counts / trials - probs))
     print(f"  worst histogram deviation from the exact law: {worst:.2e}")
 
 

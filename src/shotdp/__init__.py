@@ -3,15 +3,15 @@
 A finite number n of projective measurement shots turns any pair of close
 quantum states into a pair of close binomial laws over outcome frequencies.
 This package evaluates closed-form (epsilon, delta) privacy budgets for that
-mechanism, models the shot noise exactly and through its normal limit, and
-audits the closed forms against exact binomial oracles. The per-count log
-ratio of two binomial laws is affine in the count, so the exact epsilon is
-a closed form and the exact delta one sum over counts; the brute-force
-versions live in the tests as references.
+mechanism, models the shot noise by its exact binomial law, and audits the
+closed forms against exact binomial oracles. The per-count log ratio of two
+binomial laws is affine in the count, so the exact epsilon is a closed form
+and the exact delta one sum over counts; the brute-force versions live in
+the tests as references.
 
 Modules:
     states  density matrices, projectors, channels, trace distance
-    shots   binomial and normal outcome models, likelihood ratios, sampling
+    shots   the binomial outcome law, likelihood ratios, sampling
     budget  closed-form privacy budgets and tail-cutoff conversions
     audit   exact oracles, dominance audits, Monte Carlo confirmation
     cli     compute / sweep / figures / audit commands
@@ -33,7 +33,6 @@ from .budget import (
     epsilon_delta_noiseless,
     epsilon_depolarizing,
     epsilon_noiseless,
-    erfc,
     expectation_ratio_bound,
     shots_for_budget,
 )
@@ -66,13 +65,12 @@ _LAZY = {
             "min_expectation", "monte_carlo_audit", "qdp_check",
         ),
         "shots": (
-            "NormalModel", "OutcomeDistribution", "binomial_distribution", "log_binomial_pmf",
-            "log_likelihood_ratio", "normal_model", "sample_means", "single_shot_variance",
+            "binomial_distribution", "log_binomial_pmf", "log_likelihood_ratio", "sample_means",
         ),
         "states": (
             "Channel", "DensityMatrix", "Projector", "apply_channel", "basis_columns", "basis_state",
             "complement_projector", "depolarizing_channel", "expectation", "identity_channel", "make_density",
-            "make_projector", "maximally_mixed", "neighbor_state", "overlap_gap", "trace_distance",
+            "make_projector", "maximally_mixed", "neighbor_state", "trace_distance",
         ),
     }.items()
     for name in (module, *names)
@@ -110,11 +108,9 @@ __all__ = [
     "DistanceTooLargeError",
     "IncompletePVMError",
     "MinExpectation",
-    "NormalModel",
     "NotHermitianError",
     "NotPSDError",
     "OutOfRangeError",
-    "OutcomeDistribution",
     "PreconditionViolatedError",
     "PrivacyReport",
     "Projector",
@@ -136,7 +132,6 @@ __all__ = [
     "epsilon_delta_noiseless",
     "epsilon_depolarizing",
     "epsilon_noiseless",
-    "erfc",
     "exact_epsilon",
     "expectation",
     "expectation_ratio_bound",
@@ -150,11 +145,8 @@ __all__ = [
     "min_expectation",
     "monte_carlo_audit",
     "neighbor_state",
-    "normal_model",
-    "overlap_gap",
     "qdp_check",
     "sample_means",
     "shots_for_budget",
-    "single_shot_variance",
     "trace_distance",
 ]

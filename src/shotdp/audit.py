@@ -364,7 +364,7 @@ def monte_carlo_audit(
         delta = check_nonnegative(delta, "delta")
     exact_eps = exact_epsilon(mu0, mu1, n)
     exact_delta = hockey_stick_delta(mu0, mu1, n, exact_eps if eps is None else eps)
-    law0, law1 = binomial_distribution(mu0, n).probs, binomial_distribution(mu1, n).probs
+    law0, law1 = binomial_distribution(mu0, n), binomial_distribution(mu1, n)
     seed0, seed1 = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist()
     counts0 = _sample_histogram(law0, trials, seed0)
     counts1 = _sample_histogram(law1, trials, seed1)

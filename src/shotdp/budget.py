@@ -47,9 +47,6 @@ from .errors import (
     check_noise,
 )
 
-erfc = math.erfc
-"""Complementary error function: `math.erfc`, re-exported."""
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 

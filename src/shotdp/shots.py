@@ -1,16 +1,16 @@
-"""Statistics of repeated projective measurement: exact and Gaussian models.
+"""Statistics of repeated projective measurement: the exact binomial law.
 
 Averaging n single-shot outcomes gives a sample mean on the grid
-{0, 1/n, ..., 1}. `binomial_distribution` is the exact law of that mean;
-`normal_model` is its central-limit surrogate. `log_likelihood_ratio`
-compares the Gaussian surrogates of two candidate means, and `sample_means`
-draws reproducible Monte Carlo batches from the exact law.
+{0, 1/n, ..., 1}. `binomial_distribution` is the exact law of the success
+count behind that mean, and `log_binomial_pmf` its logarithm.
+`log_likelihood_ratio` compares the Gaussian surrogates N(mu, mu(1-mu)/n)
+of two candidate means, and `sample_means` draws reproducible Monte Carlo
+batches from the exact law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +24,6 @@ _STIRLERR = np.array([
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 ])
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
-    """Exact law of the success count over n shots: probs[k] = P(count = k)."""
-
-    n: int
-    mu: float
-    probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalModel:
-    """Gaussian surrogate for the sample mean of n shots."""
-
-    mean: float
-    variance: float
-
-
-def single_shot_variance(mu: float) -> float:
-    """Variance mu(1-mu) of one projective outcome with success probability mu."""
-    mu = check_mean(mu, allow_endpoints=True)
-    return mu * (1.0 - mu)
 
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
@@ -167,8 +144,9 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
     return out
 
 
-def binomial_distribution(mu: float, n: int) -> OutcomeDistribution:
-    """Exact outcome-count law for n shots.
+def binomial_distribution(mu: float, n: int) -> np.ndarray:
+    """Exact outcome-count law for n shots: the read-only array of
+    P(count = k) for k = 0..n.
 
     Probabilities are exponentiated from `log_binomial_pmf`'s saddle-point
     form, so large n neither overflows nor loses the tails. Endpoint means
@@ -182,18 +160,7 @@ def binomial_distribution(mu: float, n: int) -> OutcomeDistribution:
     else:
         probs = np.exp(log_binomial_pmf(mu, n))
     probs.setflags(write=False)
-    return OutcomeDistribution(n=n, mu=mu, probs=probs)
-
-
-def normal_model(mu: float, n: int) -> NormalModel:
-    """Gaussian surrogate N(mu, mu(1-mu)/n) for the sample mean.
-
-    Raises DegenerateMuError at mu in {0, 1}: the surrogate needs positive
-    variance.
-    """
-    mu = check_mean(mu)
-    n = check_count(n, "shots n")
-    return NormalModel(mean=mu, variance=mu * (1.0 - mu) / n)
+    return probs
 
 
 def log_likelihood_ratio(x: float, mu0: float, mu1: float, n: int) -> float:
@@ -240,7 +207,7 @@ def sample_means(mu: float, n: int, trials: int, seed: int) -> np.ndarray:
     """
     trials = check_count(trials, "trials")
     seed = check_count(seed, "seed", minimum=0)
-    return _sample_counts(binomial_distribution(mu, n).probs, trials, seed) / float(n)
+    return _sample_counts(binomial_distribution(mu, n), trials, seed) / float(n)
 
 
 def _cdf_and_uniforms(probs: np.ndarray, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,8 +7,8 @@ Core objects are plain immutable containers around validated numpy arrays:
     sigma = neighbor_state(rho, 0.1)            # trace distance 0.1 from rho
     noisy = apply_channel(depolarizing_channel(0.5, 2), rho)
 
-Trace distance is the metric throughout; `overlap_gap` measures how far a
-projector can tell two states apart after a channel.
+Trace distance is the metric throughout; `expectation` gives the outcome
+probability Tr(rho M) of one projective effect.
 """
 
 from __future__ import annotations
@@ -51,23 +51,18 @@ class Projector:
     """Validated orthogonal projector with known rank.
 
     Rank 0 (zero operator) and rank `dim` (identity) are legal but carry no
-    measurement information; `is_degenerate` flags them.
+    measurement information.
     """
 
     entries: np.ndarray
     dim: int
     rank: int
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.rank == 0 or self.rank == self.dim
-
 
 @dataclass(frozen=True)
 class Channel:
-    """Single-parameter noise channel: the identity or depolarizing family."""
+    """Depolarizing channel of strength p in [0, 1]; p = 0 is the identity."""
 
-    kind: str
     p: float
     dim: int
 
@@ -189,26 +184,26 @@ def complement_projector(m: Projector) -> Projector:
 
 
 def identity_channel(dim: int) -> Channel:
+    """The identity map on dimension `dim`: the depolarizing channel at p = 0."""
     dim = check_count(dim, "dimension D")
-    return Channel(kind="identity", p=0.0, dim=dim)
+    return Channel(p=0.0, dim=dim)
 
 
 def depolarizing_channel(p: float, dim: int) -> Channel:
     """Channel that keeps the state with weight 1-p and mixes in identity/dim.
 
-    `p` must lie in [0, 1]; p=0 reduces to the identity map (kept as its own
-    kind so budgets can still require strictly positive noise).
+    `p` must lie in [0, 1]; p = 0 is the identity map.
     """
     dim = check_count(dim, "dimension D")
     check_noise(p, allow_zero=True)
-    return Channel(kind="depolarizing", p=float(p), dim=dim)
+    return Channel(p=float(p), dim=dim)
 
 
 def apply_channel(ch: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel; identity returns its input unchanged."""
+    """Apply the channel; at p = 0 it returns its input unchanged."""
     if ch.dim != rho.dim:
         raise DimMismatchError(f"DimMismatch: channel dim {ch.dim} != state dim {rho.dim}")
-    if ch.kind == "identity":
+    if ch.p == 0.0:
         return rho
     mixed = (1.0 - ch.p) * rho.entries + (ch.p / ch.dim) * np.eye(ch.dim)
     return make_density(mixed)
@@ -248,16 +243,6 @@ def expectation(rho: DensityMatrix, m: Projector) -> float:
     if 1.0 < val <= 1.0 + 1e-10:
         return 1.0
     return val
-
-
-def overlap_gap(rho: DensityMatrix, sigma: DensityMatrix, m: Projector) -> float:
-    """Signed probability gap Tr[(rho - sigma) M] for one projective outcome.
-
-    Bounded in magnitude by trace_distance(rho, sigma) times the rank.
-    """
-    if rho.dim != sigma.dim or rho.dim != m.dim:
-        raise DimMismatchError(f"DimMismatch: {rho.dim}, {sigma.dim}, {m.dim}")
-    return float(np.trace((rho.entries - sigma.entries) @ m.entries).real)
 
 
 def neighbor_state(rho: DensityMatrix, d: float, anchor: DensityMatrix | None = None) -> DensityMatrix:

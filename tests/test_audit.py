@@ -136,8 +136,8 @@ class TestHockeyStick:
 
     def test_at_zero_equals_total_variation(self):
         for mu0, mu1, n in ((0.25, 0.15, 4), (0.5, 0.2, 9), (0.7, 0.65, 30)):
-            p = binomial_distribution(mu0, n).probs
-            q = binomial_distribution(mu1, n).probs
+            p = binomial_distribution(mu0, n)
+            q = binomial_distribution(mu1, n)
             tv = 0.5 * float(np.abs(p - q).sum())
             assert hockey_stick_delta(mu0, mu1, n, 0.0) == pytest.approx(tv, abs=1e-12)
 
@@ -359,6 +359,15 @@ class TestDominanceAudit:
         rep = dominance_audit(d=0.1, r=1, n=200, mu0=0.25, mu1=0.15)
         assert rep.dominated["endpoint_upper"] is False
         assert rep.details["llr_upper"] > rep.theorem_epsilon
+
+    @pytest.mark.parametrize(
+        "check, d, n",
+        [("endpoint_upper", 0.1, 136), ("window_exact", 0.1, 1499), ("window_exact", 0.05, 2011), ("window_exact", 0.02, 6857)],
+    )
+    def test_crossover(self, check, d, n):
+        """The closed-form budget covers `check` up to n - 1 shots and fails it at n."""
+        assert dominance_audit(d, 1, n - 1, 0.15 + d, 0.15).dominated[check] is True
+        assert dominance_audit(d, 1, n, 0.15 + d, 0.15).dominated[check] is False
 
     def test_slack_matches_details(self):
         rep = dominance_audit(d=0.1, r=1, n=10, mu0=0.25, mu1=0.15)

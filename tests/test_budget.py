@@ -25,7 +25,6 @@ from shotdp import (
     epsilon_delta_noiseless,
     epsilon_depolarizing,
     epsilon_noiseless,
-    erfc,
     expectation_ratio_bound,
     shots_for_budget,
 )
@@ -158,14 +157,18 @@ class TestPureDepolarizing:
 class TestTailConversions:
     """Gaussian tail mass and the cutoff that achieves it."""
 
-    def test_erfc_reference_point(self):
-        assert erfc(1.0) == pytest.approx(0.1572992070502851, abs=1e-15)
-
-    def test_erfc_against_high_precision(self):
-        """Sweep |x| <= 6 against a 50-digit evaluation."""
-        mpmath.mp.dps = 50
-        for x in np.linspace(-6.0, 6.0, 241):
-            assert erfc(float(x)) == pytest.approx(float(mpmath.erfc(mpmath.mpf(float(x)))), abs=1e-7)
+    def test_delta_against_high_precision_erfc(self):
+        """Normalized tail mass erfc(c / (sqrt(2) sigma)) within 1e-12 relative of a
+        50-digit evaluation at the same c, for x = c / (sqrt(2) sigma) on a grid in (0, 6]."""
+        mu, n = 0.15, 5
+        sigma = math.sqrt(mu * (1.0 - mu) / n)
+        with mpmath.workdps(50):
+            s = mpmath.sqrt(mpmath.mpf(mu) * (1 - mpmath.mpf(mu)) / n)
+            for x in np.linspace(0.0, 6.0, 241)[1:]:
+                c = float(x) * math.sqrt(2.0) * sigma
+                want = mpmath.erfc(mpmath.mpf(c) / (mpmath.sqrt(2) * s))
+                got = delta_from_c(c, mu, n, convention="normalized")
+                assert abs(got - want) <= 1e-12 * want, (float(x), got, float(want))
 
     def test_delta_reference_point(self):
         value = delta_from_c(0.3, 0.15, 5, convention="paper")

@@ -8,6 +8,7 @@ their modules define, and only then is numpy loaded. Each check runs in a
 fresh interpreter, since the test process has imported everything already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import shotdp
 from test_golden import CASES, GOLDEN
 
 SRC = Path(__file__).parent.parent / "src"
@@ -133,3 +135,23 @@ print(json.dumps({"missing_from_dir": listed, "module_first": module_first, "wro
 def test_every_public_name_resolves_to_its_defining_object(first):
     got = json.loads(run_fresh(_RESOLVE_PROBE, first, json.dumps(SUBMODULES)))
     assert got == {"missing_from_dir": [], "module_first": True, "wrong": [], "submodules": [True, True, True]}
+
+
+# Public names that nothing in the library, the command line or the benchmark
+# used, each with the submodule that defined it.
+_REMOVED = {
+    "NormalModel": "shots",
+    "OutcomeDistribution": "shots",
+    "normal_model": "shots",
+    "single_shot_variance": "shots",
+    "overlap_gap": "states",
+    "erfc": "budget",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REMOVED))
+def test_removed_names_are_gone(name):
+    assert name not in shotdp.__all__ and name not in dir(shotdp)
+    with pytest.raises(AttributeError, match=name):
+        getattr(shotdp, name)
+    assert not hasattr(importlib.import_module(f"shotdp.{_REMOVED[name]}"), name)

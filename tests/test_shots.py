@@ -1,4 +1,4 @@
-"""Binomial and normal shot-noise models, likelihood ratios, and sampling."""
+"""The binomial shot-noise law, likelihood ratios, and sampling."""
 
 import math
 
@@ -14,9 +14,7 @@ from shotdp import (
     binomial_distribution,
     log_binomial_pmf,
     log_likelihood_ratio,
-    normal_model,
     sample_means,
-    single_shot_variance,
 )
 from shotdp.shots import _sample_counts, _sample_histogram
 
@@ -34,31 +32,37 @@ class TestBinomialDistribution:
     def test_matches_reference_pmf(self):
         """Cross-check the saddle-point construction against scipy's binomial."""
         for mu, n in ((0.15, 10), (0.5, 7), (0.03, 100), (0.85, 1000)):
-            dist = binomial_distribution(mu, n)
             expected = stats.binom.pmf(np.arange(n + 1), n, mu)
-            np.testing.assert_allclose(dist.probs, expected, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(binomial_distribution(mu, n), expected, rtol=1e-10, atol=1e-300)
 
     def test_probabilities_sum_to_one(self):
         for mu, n in ((0.15, 10), (0.25, 200), (0.5, 10000), (0.15, 10**6)):
-            dist = binomial_distribution(mu, n)
-            assert abs(dist.probs.sum() - 1.0) <= 1e-15
+            assert abs(binomial_distribution(mu, n).sum() - 1.0) <= 1e-15
 
     def test_mean_matches_mu(self):
         for mu, n in ((0.15, 10), (0.3, 500), (0.5, 10000)):
-            dist = binomial_distribution(mu, n)
-            mean = float(np.arange(n + 1) @ dist.probs) / n
+            mean = float(np.arange(n + 1) @ binomial_distribution(mu, n)) / n
             assert mean == pytest.approx(mu, abs=1e-9)
 
     def test_spot_value(self):
         """P(k=0) at mu=0.25, n=4 is 0.75^4."""
-        dist = binomial_distribution(0.25, 4)
-        assert dist.probs[0] == pytest.approx(0.31640625, abs=1e-12)
+        assert binomial_distribution(0.25, 4)[0] == pytest.approx(0.31640625, abs=1e-12)
+
+    @pytest.mark.parametrize("mu, n", [(0.15, 10), (0.5, 1), (1e-300, 7), (0.85, 1000), (0.0, 5), (1.0, 5)])
+    def test_returns_a_read_only_float_array(self, mu, n):
+        probs = binomial_distribution(mu, n)
+        assert isinstance(probs, np.ndarray) and probs.dtype == np.float64 and probs.shape == (n + 1,)
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0] = 0.5
+
+    @pytest.mark.parametrize("mu, n", [(0.15, 10), (0.5, 7), (1e-300, 3), (1.0 - 2.0**-53, 40), (0.37, 10**5)])
+    def test_is_the_exponentiated_log_pmf(self, mu, n):
+        np.testing.assert_array_equal(binomial_distribution(mu, n), np.exp(log_binomial_pmf(mu, n)))
 
     def test_endpoint_point_masses(self):
-        lo = binomial_distribution(0.0, 5)
-        hi = binomial_distribution(1.0, 5)
-        assert lo.probs[0] == 1.0 and lo.probs[1:].sum() == 0.0
-        assert hi.probs[5] == 1.0 and hi.probs[:5].sum() == 0.0
+        np.testing.assert_array_equal(binomial_distribution(0.0, 5), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(binomial_distribution(1.0, 5), [0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
 
     def test_log_pmf_at_chosen_counts(self):
         counts = np.array([[0, 3, 17], [40, 99, 100]])
@@ -84,28 +88,6 @@ class TestBinomialDistribution:
             binomial_distribution(1.2, 5)
         with pytest.raises(OutOfRangeError):
             binomial_distribution(0.5, 0)
-
-
-class TestNormalModel:
-    """The central-limit surrogate for the sample-mean law."""
-
-    def test_mean_and_variance(self):
-        model = normal_model(0.15, 5)
-        assert model.mean == pytest.approx(0.15)
-        assert model.variance == pytest.approx(0.0255, abs=1e-15)
-        assert math.sqrt(model.variance) == pytest.approx(0.15968719422671313, abs=1e-12)
-
-    def test_variance_shrinks_with_shots(self):
-        assert normal_model(0.3, 100).variance == pytest.approx(normal_model(0.3, 10).variance / 10.0)
-
-    def test_single_shot_variance_peak(self):
-        """mu(1-mu) is maximized at one half."""
-        assert single_shot_variance(0.5) == pytest.approx(0.25)
-        assert single_shot_variance(0.1) == pytest.approx(0.09)
-
-    def test_degenerate_mean_rejected(self):
-        with pytest.raises(DegenerateMuError, match="DegenerateMu"):
-            normal_model(1.0, 5)
 
 
 class TestLogLikelihoodRatio:
@@ -204,7 +186,7 @@ class TestSampleMeans:
         n, mu, trials = 6, 0.3, 200000
         x = sample_means(mu, n, trials, seed=11)
         counts = np.bincount(np.rint(x * n).astype(int), minlength=n + 1)
-        exact = binomial_distribution(mu, n).probs
+        exact = binomial_distribution(mu, n)
         np.testing.assert_allclose(counts / trials, exact, atol=5.0 * math.sqrt(1.0 / trials))
 
     @given(
@@ -221,7 +203,7 @@ class TestSampleMeans:
     @example(mu=0.01, n=9, trials=3000, seed=5)  # the running sum passes 1 before the last count
     def test_histogram_is_bincount_of_the_draws(self, mu, n, trials, seed):
         """Sort-and-count gives the histogram of the per-trial draws, count for count."""
-        probs = binomial_distribution(mu, n).probs
+        probs = binomial_distribution(mu, n)
         histogram = _sample_histogram(probs, trials, seed)
         assert histogram.shape == (n + 1,) and histogram.sum() == trials
         np.testing.assert_array_equal(histogram, np.bincount(_sample_counts(probs, trials, seed), minlength=n + 1))
