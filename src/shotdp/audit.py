@@ -13,14 +13,16 @@ For two binomial laws over the same n the per-count log ratio is affine in
 the count (the binomial coefficients cancel), so its extremes sit at the
 ends of any run of counts: `exact_epsilon` and the dominance audit's window
 maxima are closed forms, and `hockey_stick_delta` needs only P0's pmf.
-Brute-force maxima over all n + 1 outcomes are kept in the tests as
-references.
+Every oracle checks its inputs once and shares one slope pair, from
+`_slopes`, with the kernels `_log_ratio` and `_hockey_stick`. Brute-force
+maxima over all n + 1 outcomes are kept in the tests as references.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,26 +101,22 @@ def _log_quotient(num: float, den: float, gap: float) -> float:
     return math.log(num) - math.log(den)
 
 
-def _slopes(mu0: float, mu1: float, n: int) -> tuple[int, float, float]:
-    """Checked n and the two slopes log(mu0 / mu1), log((1 - mu0) / (1 - mu1))
-    of the per-count log ratio, each within a few units in the last place for
-    means at or above the smallest normal double."""
-    mu0 = check_mean(mu0, "mean mu0")
-    mu1 = check_mean(mu1, "mean mu1")
-    n = check_count(n, "shots n")
-    return n, _log_quotient(mu0, mu1, mu0 - mu1), _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
+def _slopes(mu0: float, mu1: float) -> tuple[float, float]:
+    """The slopes log(mu0 / mu1) and log((1 - mu0) / (1 - mu1)) of the
+    per-count log ratio, for checked means; each within a few units in the
+    last place for means at or above the smallest normal double."""
+    return _log_quotient(mu0, mu1, mu0 - mu1), _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
 
 
-def _log_ratio(mu0: float, mu1: float, n: int, k):
+def _log_ratio(lead: float, trail: float, n: int, k):
     """Per-count log ratio log P0(k) - log P1(k) of the two n-shot count laws.
 
     The binomial coefficients cancel, leaving the affine form
 
-        k log(mu0 / mu1) + (n - k) log((1 - mu0) / (1 - mu1)).
+        k lead + (n - k) trail,  with (lead, trail) = `_slopes(mu0, mu1)`.
 
     `k` may be a scalar or an array of counts.
     """
-    n, lead, trail = _slopes(mu0, mu1, n)
     return k * lead + (n - k) * trail
 
 
@@ -130,10 +128,21 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     k = n: n |log((1-mu0)/(1-mu1))| or n |log(mu0/mu1)|. Both means must
     lie strictly inside (0, 1).
     """
+    mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
     # Rounding is monotone and sign-symmetric, so this is bit for bit the
     # larger of |_log_ratio| at k = 0 and k = n, from one pair of logs.
-    n, lead, trail = _slopes(mu0, mu1, n)
+    lead, trail = _slopes(mu0, mu1)
     return n * max(abs(lead), abs(trail))
+
+
+def _hockey_stick(mu0: float, n: int, lead: float, trail: float, eps: float) -> float:
+    """`hockey_stick_delta` on checked inputs, with the slopes of `_slopes`."""
+    mean = n * mu0
+    reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - mu0))
+    k = np.arange(max(math.ceil(mean - reach), 0), min(math.floor(mean + reach), n) + 1)
+    llr = _log_ratio(lead, trail, n, k)
+    over = llr > eps
+    return float(np.sum(np.exp(log_binomial_pmf(mu0, n, k[over])) * -np.expm1(eps - llr[over])))
 
 
 def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
@@ -151,15 +160,9 @@ def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     than 2 e^-L on the rest, and every term there rounds to 0.0 in the full
     sum too. So the window is O(sqrt(n)) counts and drops nothing.
     """
-    eps = check_nonnegative(eps, "eps")
-    mu0 = check_mean(mu0, "mean mu0")
-    n = check_count(n, "shots n")
-    mean = n * mu0
-    reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - mu0))
-    k = np.arange(max(math.ceil(mean - reach), 0), min(math.floor(mean + reach), n) + 1)
-    llr = _log_ratio(mu0, mu1, n, k)
-    over = llr > eps
-    return float(np.sum(np.exp(log_binomial_pmf(mu0, n, k[over])) * -np.expm1(eps - llr[over])))
+    eps, mu0 = check_nonnegative(eps, "eps"), check_mean(mu0, "mean mu0")
+    n, mu1 = check_count(n, "shots n"), check_mean(mu1, "mean mu1")
+    return _hockey_stick(mu0, n, *_slopes(mu0, mu1), eps)
 
 
 def min_expectation(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, m: Projector) -> MinExpectation:
@@ -279,25 +282,17 @@ def dominance_audit(
     llr_lower = log_likelihood_ratio(x_lower, mu0, mu1, n)
     llr_upper = log_likelihood_ratio(x_upper, mu0, mu1, n)
 
-    # Counts k with raw_lower <= k/n <= raw_upper, as one run k_lo..k_hi. The
-    # rounded n * raw lands within one count of each edge; k/n, compared as
-    # a float, settles an edge count whose k/n equals raw in exact arithmetic.
-    k_lo = max(math.ceil(n * raw_lower), 0)
-    if k_lo > 0 and (k_lo - 1) / n >= raw_lower:
-        k_lo -= 1
-    elif k_lo / n < raw_lower:
-        k_lo += 1
-    k_hi = min(math.floor(n * raw_upper), n)
-    if k_hi < n and (k_hi + 1) / n <= raw_upper:
-        k_hi += 1
-    elif k_hi / n > raw_upper:
-        k_hi -= 1
+    # Counts k with raw_lower <= k/n <= raw_upper, k/n compared as a float,
+    # as one run k_lo..k_hi; k/n never decreases in k, so each edge is a bisection.
+    k_lo = bisect_left(range(n + 1), raw_lower, key=lambda k: k / n)
+    k_hi = bisect_right(range(n + 1), raw_upper, key=lambda k: k / n) - 1
+    lead, trail = _slopes(mu0, mu1)
 
     def run_max(lo: int, hi: int) -> float:
         # The log ratio is affine in k, so on a run of counts it peaks at an end.
         if lo > hi:
             return 0.0
-        return max(abs(_log_ratio(mu0, mu1, n, lo)), abs(_log_ratio(mu0, mu1, n, hi)))
+        return max(abs(_log_ratio(lead, trail, n, lo)), abs(_log_ratio(lead, trail, n, hi)))
 
     excluded = tuple(k for k in (0, n) if k_lo <= k <= k_hi)
     window_exact = run_max(max(k_lo, 1), min(k_hi, n - 1))
@@ -309,8 +304,9 @@ def dominance_audit(
         "window_exact": window_exact <= eps + _EQ_SLACK,
     }
     return AuditReport(
-        exact_epsilon=exact_epsilon(mu0, mu1, n),
-        exact_delta_at_eps=hockey_stick_delta(mu0, mu1, n, max(eps, 0.0)),
+        exact_epsilon=n * max(abs(lead), abs(trail)),
+        # A nan budget is rejected as a nan eps given to hockey_stick_delta is.
+        exact_delta_at_eps=_hockey_stick(mu0, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
         theorem_epsilon=eps,
         dominated=dominated,
         flags=tuple(flags),
@@ -325,7 +321,7 @@ def dominance_audit(
             "slack_upper": eps - llr_upper,
             "window_exact_epsilon": window_exact,
             "window_exact_epsilon_with_boundary": window_exact_full,
-            "window_outcome_count": max(k_hi - k_lo + 1, 0),
+            "window_outcome_count": k_hi - k_lo + 1,
         },
     )
 
@@ -362,8 +358,10 @@ def monte_carlo_audit(
         eps = check_nonnegative(eps, "eps")
     if delta is not None:
         delta = check_nonnegative(delta, "delta")
-    exact_eps = exact_epsilon(mu0, mu1, n)
-    exact_delta = hockey_stick_delta(mu0, mu1, n, exact_eps if eps is None else eps)
+    mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
+    lead, trail = _slopes(mu0, mu1)
+    exact_eps = n * max(abs(lead), abs(trail))
+    exact_delta = _hockey_stick(mu0, n, lead, trail, exact_eps if eps is None else eps)
     law0, law1 = binomial_distribution(mu0, n), binomial_distribution(mu1, n)
     seed0, seed1 = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist()
     counts0 = _sample_histogram(law0, trials, seed0)
@@ -375,7 +373,7 @@ def monte_carlo_audit(
     seen = np.flatnonzero(observable)
     # math.log, not np.log, whose last bit may differ and move a printed digit.
     estimates = list(map(math.log, (emp0[seen] / emp1[seen]).tolist()))
-    errors = np.abs(np.array(estimates) - _log_ratio(mu0, mu1, n, seen)).tolist()
+    errors = np.abs(np.array(estimates) - _log_ratio(lead, trail, n, seen)).tolist()
     keys = seen.tolist()
     eps_hat = dict(zip(keys, estimates))
     eps_hat_error = dict(zip(keys, errors))

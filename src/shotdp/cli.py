@@ -32,7 +32,7 @@ import sys
 from operator import itemgetter
 
 from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
-from .errors import BadConfigError, OutOfRangeError, ShotDPError, check_count, check_distance, check_noise
+from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_index, check_noise
 
 try:
     from _json import encode_basestring_ascii as _quote
@@ -320,10 +320,7 @@ def _index(value, key: str, dim: int) -> int:
             value = int(value)
         except ValueError:
             pass
-    index = check_count(value, f"{key} index", minimum=0)
-    if index >= dim:
-        raise OutOfRangeError(f"OutOfRange: {key} index {index} outside [0, {dim})")
-    return index
+    return check_index(value, dim, f"{key} index")
 
 
 def _real_entry(text: str, key: str) -> float:

@@ -110,6 +110,14 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     return count
 
 
+def check_index(value, dim: int, name: str) -> int:
+    """An index into `dim` basis vectors: a count from 0 below `dim`."""
+    index = check_count(value, name, minimum=0)
+    if index >= dim:
+        raise OutOfRangeError(f"OutOfRange: {name} {index} outside [0, {dim})")
+    return index
+
+
 def check_mean(mu, name: str = "mean mu", allow_endpoints: bool = False) -> float:
     """Outcome mean in (0, 1), or [0, 1] with `allow_endpoints`; an excluded
     endpoint leaves no variance and is DegenerateMu."""

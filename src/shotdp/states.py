@@ -24,10 +24,10 @@ from .errors import (
     DistanceTooLargeError,
     NotHermitianError,
     NotPSDError,
-    OutOfRangeError,
     TraceNotOneError,
     check_count,
     check_distance,
+    check_index,
     check_noise,
 )
 
@@ -122,20 +122,16 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 def basis_state(dim: int, index: int = 0) -> DensityMatrix:
     """Pure state concentrated on one computational-basis vector."""
-    if not 0 <= index < dim:
-        raise OutOfRangeError(f"OutOfRange: basis index {index} outside [0, {dim})")
-    a = np.zeros((dim, dim), dtype=complex)
-    a[index, index] = 1.0
-    return make_density(a)
+    column = basis_columns(dim, [index])
+    return make_density(column @ column.T)
 
 
 def basis_columns(dim: int, indices) -> np.ndarray:
     """Orthonormal column block selecting the given basis vectors."""
-    cols = np.zeros((dim, len(list(indices))), dtype=complex)
-    for j, k in enumerate(indices):
-        if not 0 <= k < dim:
-            raise OutOfRangeError(f"OutOfRange: basis index {k} outside [0, {dim})")
-        cols[k, j] = 1.0
+    dim = check_count(dim, "dimension D")
+    rows = [check_index(k, dim, "basis index") for k in indices]
+    cols = np.zeros((dim, len(rows)), dtype=complex)
+    cols[rows, range(len(rows))] = 1.0
     return cols
 
 

@@ -34,8 +34,8 @@ from shotdp import (
     qdp_check,
     sample_means,
 )
-from shotdp.audit import _log_ratio
-from shotdp.errors import check_count, check_mean
+from shotdp.audit import _log_quotient, _log_ratio, _slopes
+from shotdp.errors import check_count, check_distance, check_mean, check_nonnegative
 from conftest import random_density, random_projector
 
 
@@ -51,6 +51,23 @@ def qdp_oracle(p, q, eps, delta):
             if b > math.exp(eps) * a + delta + 1e-12:
                 return False
     return True
+
+
+def first_failure(*checks):
+    """The error that the first failing (validator, value, *args) check raises, or None."""
+    for check, value, *args in checks:
+        try:
+            check(value, *args)
+        except Exception as exc:
+            return exc
+    return None
+
+
+def assert_raises_like(exc, call):
+    """`call()` raises the class of `exc` with its message."""
+    with pytest.raises(type(exc)) as raised:
+        call()
+    assert str(raised.value) == str(exc)
 
 
 class TestExactEpsilon:
@@ -102,6 +119,12 @@ _MEANS = st.one_of(
     st.sampled_from([5e-324, 1e-310, _TINY, 0.5, 0.99, 1.0 - 2.0**-53]),
 )
 _ANY = st.one_of(_MEANS, st.floats(), st.integers(-2, 3), st.booleans(), st.none(), st.just("0.5"))
+# Counts small enough that an oracle that accepts them runs in microseconds, and
+# non-counts; no float here is an integer above 40, which would be accepted as one.
+_SMALL_COUNTS = st.one_of(
+    st.integers(-2, 40), st.floats(-2.0, 40.0), st.sampled_from([3.0, math.nan, math.inf, -math.inf]),
+    st.booleans(), st.none(), st.just("3"),
+)
 
 
 class TestExactEpsilonMatchesEndpointRatios:
@@ -113,19 +136,35 @@ class TestExactEpsilonMatchesEndpointRatios:
     @example(0.7, 5e-324, 3)
     @example(0.3, 0.3, 10)
     def test_equals_the_larger_endpoint_ratio(self, mu0, mu1, n):
-        want = max(abs(_log_ratio(mu0, mu1, n, 0)), abs(_log_ratio(mu0, mu1, n, n)))
+        lead, trail = _slopes(mu0, mu1)
+        want = max(abs(_log_ratio(lead, trail, n, 0)), abs(_log_ratio(lead, trail, n, n)))
         assert exact_epsilon(mu0, mu1, n) == want
 
     @given(_ANY, _ANY, st.one_of(st.integers(-2, 100), st.floats(), st.booleans(), st.none()))
     def test_same_error_as_the_checks_in_order(self, mu0, mu1, n):
-        try:
-            check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
-        except Exception as exc:
-            with pytest.raises(type(exc)) as raised:
-                exact_epsilon(mu0, mu1, n)
-            assert str(raised.value) == str(exc)
-        else:
+        failure = first_failure((check_mean, mu0, "mean mu0"), (check_mean, mu1, "mean mu1"), (check_count, n, "shots n"))
+        if failure is None:
             assert exact_epsilon(mu0, mu1, n) >= 0.0
+        else:
+            assert_raises_like(failure, lambda: exact_epsilon(mu0, mu1, n))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exact_epsilon(0.25, 0.15, 10),
+        lambda: hockey_stick_delta(0.25, 0.15, 10, 1.0),
+        lambda: dominance_audit(0.1, 1, 10, 0.25, 0.15),
+        lambda: monte_carlo_audit(0.25, 0.15, 10, 1000, seed=3, eps=1.0, delta=0.1),
+    ],
+    ids=["exact_epsilon", "hockey_stick_delta", "dominance_audit", "monte_carlo_audit"],
+)
+def test_one_slope_pair_per_call(call, monkeypatch):
+    """Each oracle takes the two log quotients of its slope pair once."""
+    quotients = []
+    monkeypatch.setattr("shotdp.audit._log_quotient", lambda *args: quotients.append(args) or _log_quotient(*args))
+    call()
+    assert len(quotients) == 2
 
 
 class TestHockeyStick:
@@ -164,6 +203,17 @@ class TestHockeyStick:
     def test_total_variation_of_separated_laws_is_one(self):
         """The two laws share no mass at double precision, so TV is exactly 1."""
         assert hockey_stick_delta(0.25, 0.15, 10**6, 0.0) == 1.0
+
+    @given(_ANY, _ANY, _SMALL_COUNTS, _ANY)
+    def test_same_error_as_the_checks_in_order(self, mu0, mu1, n, eps):
+        failure = first_failure(
+            (check_nonnegative, eps, "eps"), (check_mean, mu0, "mean mu0"), (check_count, n, "shots n"),
+            (check_mean, mu1, "mean mu1"),
+        )
+        if failure is None:
+            assert hockey_stick_delta(mu0, mu1, n, eps) >= 0.0
+        else:
+            assert_raises_like(failure, lambda: hockey_stick_delta(mu0, mu1, n, eps))
 
     def test_deep_tail_against_high_precision(self):
         mu0, mu1, n, eps = 0.19816397164651134, 0.04489445877221952, 278, 400.5451322538914
@@ -412,6 +462,27 @@ class TestDominanceAudit:
         with pytest.raises(OutOfRangeError, match="OutOfRange"):
             dominance_audit(*args)
 
+    @given(st.one_of(st.floats(0.0, 1.0), _ANY), _SMALL_COUNTS, _SMALL_COUNTS, _ANY, _ANY)
+    def test_same_error_as_the_checks_in_order(self, d, r, n, mu0, mu1):
+        failure = first_failure(
+            (check_distance, d), (check_count, r, "rank r"), (check_count, n, "shots n"),
+            (check_mean, mu0, "mean mu0"), (check_mean, mu1, "mean mu1"),
+        )
+        if failure is not None:
+            assert_raises_like(failure, lambda: dominance_audit(d, r, n, mu0, mu1))
+            return
+        try:
+            report = dominance_audit(d, r, n, mu0, mu1)
+        except PreconditionViolatedError:
+            return  # checked means with mu1 > mu0, or a gap beyond d r
+        assert report.exact_epsilon >= 0.0
+
+    def test_nan_budget_rejected(self):
+        """A subnormal p at d = 0 makes the depolarizing budget nan, which is
+        rejected as an eps, not audited."""
+        with pytest.raises(OutOfRangeError, match="eps=nan"):
+            dominance_audit(0.0, 1, 10, 0.15, 0.15, regime="depolarizing", p=5e-324, dim=2)
+
     def test_depolarizing_ratio_bound_enforced(self):
         """mu0/mu1 beyond 1 + (1-p)/p d D cannot come from one depolarized pair."""
         with pytest.raises(PreconditionViolatedError):
@@ -482,6 +553,27 @@ class TestMonteCarloAudit:
         with pytest.raises(OutOfRangeError, match="OutOfRange"):
             monte_carlo_audit(0.25, 0.15, 10, 5000, seed=5, **{"eps": 6.0, "delta": 0.01, **budget})
 
+    @given(
+        st.sampled_from([999, 1000, 1000.0, 1000.5, True, None, "1000"]),
+        st.one_of(st.integers(-1, 3), st.booleans(), st.none(), st.just(1.5)),
+        _ANY,
+        _ANY,
+        _ANY,
+        _ANY,
+        _SMALL_COUNTS,
+    )
+    def test_same_error_as_the_checks_in_order(self, trials, seed, eps, delta, mu0, mu1, n):
+        budget = [(check_nonnegative, level, name) for level, name in ((eps, "eps"), (delta, "delta")) if level is not None]
+        failure = first_failure(
+            (check_count, trials, "trials", 1000), (check_count, seed, "seed", 0), *budget,
+            (check_mean, mu0, "mean mu0"), (check_mean, mu1, "mean mu1"), (check_count, n, "shots n"),
+        )
+        call = lambda: monte_carlo_audit(mu0, mu1, n, trials, seed, eps=eps, delta=delta)
+        if failure is None:
+            assert call().exact_epsilon >= 0.0
+        else:
+            assert_raises_like(failure, call)
+
     def test_counts_match_sample_means_on_child_seeds(self):
         """Each hypothesis draws what `sample_means` draws under its child key."""
         n, trials = 10, 5000
@@ -496,7 +588,7 @@ class TestMonteCarloAudit:
         """The array form of the estimates and their errors matches a loop over the outcomes, bit for bit."""
         rep = monte_carlo_audit(mu0, mu1, n, trials, seed=4)
         emp0, emp1 = np.array(rep.details["empirical_p0"]), np.array(rep.details["empirical_p1"])
-        log_ratio = _log_ratio(mu0, mu1, n, np.arange(n + 1))
+        log_ratio = _log_ratio(*_slopes(mu0, mu1), n, np.arange(n + 1))
         eps_hat, errors, excluded = {}, {}, []
         for k in range(n + 1):
             if emp0[k] > 0 and emp1[k] > 0:

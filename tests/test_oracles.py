@@ -29,7 +29,7 @@ from shotdp import (
     log_binomial_pmf,
     shots_for_budget,
 )
-from shotdp.audit import _log_ratio
+from shotdp.audit import _log_ratio, _slopes
 
 # Means at or above the smallest normal double, where the closed form
 # promises a few units in the last place.
@@ -191,7 +191,7 @@ def test_windowed_hockey_stick_matches_full_sum(mu0, mu1, n, share):
     at levels up to the exact epsilon, where only far tail counts are left."""
     eps = share * exact_epsilon(mu0, mu1, n)
     counts = np.arange(n + 1)
-    llr = _log_ratio(mu0, mu1, n, counts)
+    llr = _log_ratio(*_slopes(mu0, mu1), n, counts)
     over = llr > eps
     full = float(np.sum(np.exp(log_binomial_pmf(mu0, n)[over]) * -np.expm1(eps - llr[over])))
     assert abs(hockey_stick_delta(mu0, mu1, n, eps) - full) <= 1e-14 * full

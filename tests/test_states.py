@@ -75,6 +75,32 @@ class TestMakeDensity:
         with pytest.raises(OutOfRangeError, match="OutOfRange"):
             basis_state(2, 2)
 
+    @pytest.mark.parametrize("index", [True, False, 1.5, -1, "0", None, 2])
+    def test_basis_index_must_be_a_count_below_dim(self, index):
+        """Bools are rejected, though True == 1, and so are fractions."""
+        with pytest.raises(OutOfRangeError, match="basis index"):
+            basis_state(2, index)
+        with pytest.raises(OutOfRangeError, match="basis index"):
+            basis_columns(2, [0, index])
+
+    @pytest.mark.parametrize("index", [1.0, np.int64(1), np.float64(1.0)], ids=["float", "numpy-int", "numpy-float"])
+    def test_integral_indices_accepted(self, index):
+        assert basis_state(2, index).entries[1, 1] == 1.0
+        assert basis_columns(2, [index]).tolist() == [[0], [1]]
+
+    @pytest.mark.parametrize("dim", [True, 0, 2.5, "2", None])
+    def test_dimension_must_be_a_count(self, dim):
+        with pytest.raises(OutOfRangeError, match="dimension D"):
+            basis_state(dim)
+        with pytest.raises(OutOfRangeError, match="dimension D"):
+            basis_columns(dim, [0])
+
+    def test_columns_from_an_iterator(self):
+        """The indices are read once, so a generator gives the same block as a list."""
+        cols = basis_columns(3, (k for k in [2, 0]))
+        np.testing.assert_array_equal(cols, basis_columns(3, [2, 0]))
+        assert make_projector(cols).rank == 2
+
 
 class TestProjectors:
     """Projector construction, ranks, and complements."""
