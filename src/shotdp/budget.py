@@ -161,10 +161,18 @@ class PrivacyReport(_Record):
     _fields = ("epsilon", "delta", "warnings", "inputs")
 
     def __init__(self, epsilon: float, delta: float, warnings: tuple[str, ...], inputs: BudgetInputs):
-        self.__dict__.update(epsilon=epsilon, delta=delta, warnings=warnings, inputs=inputs)
+        fields = self.__dict__
+        fields["epsilon"] = epsilon
+        fields["delta"] = delta
+        fields["warnings"] = warnings
+        fields["inputs"] = inputs
 
 
 def _depolarizing_scale(p: float, d: float, r: int, dim: int) -> float:
+    # At d = 0 the scale is 0 for any p; (1-p)/p is inf for a subnormal p,
+    # and inf * 0 would be nan. Returning d keeps the sign of a -0.0.
+    if d == 0.0:
+        return d
     return ((1.0 - p) / p) * d * r * dim
 
 

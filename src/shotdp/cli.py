@@ -19,9 +19,12 @@ format, `.10g`, so JSON and CSV encode identical values and reruns are
 byte-identical. JSON comes from one writer, `_json_text`: sorted keys and
 a two-space indent, the bytes the standard library's encoder would write,
 without its pure-Python indenting encoder, a rounded copy of the report,
-or the `json` package (which loads only to read --config). Exit codes, all
-returned by `main`: 0 success, 2 configuration or validation error (an
-unknown flag included), 3 audit dominance failure.
+or the `json` package (which loads only to read --config). A run of floats
+texts each distinct value once and keeps the `.10g` text where it is
+already final, so a zero-heavy outcome array costs one format per
+distinct value, not per entry. Exit codes, all returned by `main`: 0
+success, 2 configuration or validation error (an unknown flag included),
+3 audit dominance failure.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import filterfalse, repeat
 from operator import itemgetter
 
 from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
@@ -70,12 +74,22 @@ def _float_text(x) -> str:
 
 
 def _float_texts(values):
-    """`_float_text` of each float in `values`, in C through `map` (no Python
-    frame per value) unless a rounded value is not finite."""
-    rounded = list(map(float, map(_fmt, values)))
-    if all(map(math.isfinite, rounded)):
-        return map(float.__repr__, rounded)
-    return map(_float_text, values)
+    """`_float_text` of each float in `values`. Each distinct value is texted
+    once, and a `.10g` text that is already the repr of the rounded value is
+    kept as it is: fixed notation with a point, or a negative exponent on a
+    value above the subnormal range. Any other text (an integral value,
+    exponents e+10 to e+15, which repr writes in fixed notation, a
+    subnormal, nan, inf, or a finite value that rounds to inf) takes
+    `_float_text`. The lookup runs in C through `map`."""
+    table = dict.fromkeys(values)
+    # 0.0 and -0.0 are one key, so a list with both is written value by value.
+    if 0.0 in table and len(set(map(math.copysign, repeat(1.0), filterfalse(None, values)))) > 1:
+        return map(_float_text, values)
+    for x in table:
+        text = _fmt(x)
+        final = ("." in text and "e" not in text) or ("e-" in text and abs(x) > 1e-300)
+        table[x] = text if final else _float_text(x)
+    return map(table.__getitem__, values)
 
 
 # Writers for values of exactly these types; subclasses, such as numpy's

@@ -477,11 +477,12 @@ class TestDominanceAudit:
             return  # checked means with mu1 > mu0, or a gap beyond d r
         assert report.exact_epsilon >= 0.0
 
-    def test_nan_budget_rejected(self):
-        """A subnormal p at d = 0 makes the depolarizing budget nan, which is
-        rejected as an eps, not audited."""
-        with pytest.raises(OutOfRangeError, match="eps=nan"):
-            dominance_audit(0.0, 1, 10, 0.15, 0.15, regime="depolarizing", p=5e-324, dim=2)
+    def test_zero_distance_budget_is_zero_for_subnormal_p(self):
+        """At d = 0 the depolarizing budget is 0 for any p, also where (1-p)/p
+        overflows to inf for a subnormal p, so the pair is audited."""
+        rep = dominance_audit(0.0, 1, 10, 0.15, 0.15, regime="depolarizing", p=5e-324, dim=2)
+        assert rep.theorem_epsilon == 0.0 and rep.exact_epsilon == 0.0
+        assert all(rep.dominated.values())
 
     def test_depolarizing_ratio_bound_enforced(self):
         """mu0/mu1 beyond 1 + (1-p)/p d D cannot come from one depolarized pair."""

@@ -115,6 +115,14 @@ class TestPureDepolarizing:
     def test_constant_reference_point(self):
         assert depolarizing_constant(0.5, 0.1, 1, 2) == pytest.approx(0.2, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 0.5, 1.0])
+    def test_zero_distance_gives_zero_budget(self, p):
+        """At d = 0 the scale is 0 for every p, also where (1-p)/p is inf."""
+        assert depolarizing_constant(p, 0.0, 1, 2) == 0.0
+        assert expectation_ratio_bound(0.15, 0.0, p, 2) == 0.15
+        rep = epsilon_depolarizing(BudgetInputs(d=0.0, r=1, n=10, mu=0.15, p=p, D=2))
+        assert rep.epsilon == 0.0 and rep.warnings == ()
+
     def test_matches_direct_formula(self, rng):
         for _ in range(200):
             d = rng.uniform(0.001, 0.3)

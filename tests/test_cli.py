@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdp import BadConfigError
+from shotdp import BadConfigError, monte_carlo_audit
 from shotdp.cli import _FIGURES, GRID_AXES, _csv_rows, _fmt, _json_text, _parse_grid, main
 
 
@@ -347,6 +347,12 @@ def _tables(cells):
             lambda rows: [dict(zip(keys, row)) for row in rows]))
 
 
+# Long runs from a small pool, as in the outcome arrays, where equal values share one text: both zero
+# signs, and values whose `.10g` text is not the repr of the rounded value, recur within one list.
+_POOL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 1e-300, 1.0000000001e-300, 1e10, 123456789012345.6, 9999999999999998.0,
+                3.0, -7.0, 2.0**53, 1.7976931345e308, -1.7976931348623157e308, 0.15, 1e-5, 1e16, 1.5e-7]
+_pooled_runs = st.lists(st.sampled_from(_POOL_FLOATS), min_size=20, max_size=60)
+
 # Report-like nesting: dicts of arrays and of dicts, tables, runs of one type (the fast paths) and mixes.
 _reports = st.recursive(
     st.one_of(_scalars, *(st.lists(leaf, max_size=8) for leaf in (_floats, _ints, _scalars)), _tables(_scalars)),
@@ -368,6 +374,23 @@ class TestJsonText:
     @example([{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}])  # the same keys in another order are not a table
     def test_matches_standard_library_encoder(self, obj):
         assert _json_text(obj) == reference_json_text(obj)
+
+    @settings(max_examples=150)
+    @given(_pooled_runs)
+    @example([0.0, -0.0])
+    @example([-0.0, 0.0])
+    @example([0.0] * 5 + [-0.0])
+    @example([math.nan] * 4 + [0.15])  # one nan object, repeated: one dict key
+    @example([float("nan"), float("nan"), 1.0])  # two nan objects: two keys
+    @example([5e-324] * 3 + [0.0])
+    def test_repeated_values_match_standard_library_encoder(self, values):
+        for obj in (values, {"k": values}):
+            assert _json_text(obj) == reference_json_text(obj)
+
+    def test_zero_heavy_audit_payload_matches_standard_library_encoder(self):
+        """Outcome arrays at n = 5000, most of whose entries are 0.0."""
+        payload = vars(monte_carlo_audit(0.155, 0.15, 5000, 100000, 7))
+        assert _json_text(payload) == reference_json_text(payload)
 
     @pytest.mark.parametrize("values", [
         [1, 2.0], [2.0, 1], [1.0, True], [True, 1], [1, True], [1.0, None], [1.5, "x"], [1, [2.0]],
