@@ -17,8 +17,9 @@ functions take a checked bundle, add the checks that depend on the budget
 (`_arguments`), call a kernel on the bundle's values and return a
 `PrivacyReport` with warning flags for regimes where a formula is outside
 its comfort zone; `shots_for_budget` calls the pure kernel per candidate
-shot count, and sweeps map a kernel over their axis. `mu` is always the
-smaller of the two outcome means.
+shot count, and sweeps map a kernel over their axis. Both records are
+standard-library named tuples. `mu` is always the smaller of the two
+outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
 `delta_from_c` / `c_from_delta`.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
+from collections import namedtuple
 
 try:
     from _statistics import _normal_dist_inv_cdf
@@ -72,44 +74,18 @@ _FIELD_CHECKS = {
 _REQUIRED = ("d", "r", "n", "mu")
 
 
-class _Record:
-    """Frozen record: the fields live in `__dict__` in `_fields` order, set
-    once by `__init__`; equality, hash and repr are those of a frozen
-    dataclass."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class BudgetInputs(_Record):
-    """Parameter bundle shared by the budget formulas.
+class BudgetInputs(namedtuple("BudgetInputs", _FIELD_CHECKS, defaults=(None,) * 4)):
+    """Parameter bundle shared by the budget formulas: a named tuple of the
+    fields d, r, n, mu, p, D, c, delta.
 
     Every field is checked on construction by its one validator in
     `errors` (the table `_FIELD_CHECKS`), in field order, so an error names
     the first bad field; p, D, c and delta may be None and are then not
     checked. Each field is stored as the value its validator returns:
     counts as `int` (an integral float such as 10.0 is converted) and the
-    other fields as `float`; a bool or a non-number is rejected.
+    other fields as `float`; a bool or a non-number is rejected. As a
+    tuple, the bundle equals, unpacks and indexes as the tuple of its
+    values; `_asdict()` gives the fields by name.
 
     Attributes
     ----------
@@ -131,41 +107,31 @@ class BudgetInputs(_Record):
         Positive, finite tail mass; alternative to `c` (supply exactly one).
     """
 
-    _fields = tuple(_FIELD_CHECKS)
+    __slots__ = ()
 
-    def __init__(self, d: float, r: int, n: int, mu: float, p: float | None = None, D: int | None = None,
-                 c: float | None = None, delta: float | None = None):
+    def __new__(cls, d: float, r: int, n: int, mu: float, p: float | None = None, D: int | None = None,
+                c: float | None = None, delta: float | None = None):
         # The validators of _FIELD_CHECKS, called in field order, so the first
-        # bad field is the one reported. The record is frozen, so the checked
-        # values go straight into its dict.
-        self.__dict__.update(
-            d=check_distance(d),
-            r=check_count(r, "rank r"),
-            n=check_count(n, "shots n"),
-            mu=check_mean(mu),
-            p=None if p is None else check_noise(p),
-            D=None if D is None else check_count(D, "dimension D"),
-            c=None if c is None else check_cutoff(c),
-            delta=None if delta is None else check_delta(delta),
-        )
+        # bad field is the one reported.
+        return tuple.__new__(cls, (
+            check_distance(d),
+            check_count(r, "rank r"),
+            check_count(n, "shots n"),
+            check_mean(mu),
+            None if p is None else check_noise(p),
+            None if D is None else check_count(D, "dimension D"),
+            None if c is None else check_cutoff(c),
+            None if delta is None else check_delta(delta),
+        ))
 
 
-class PrivacyReport(_Record):
-    """Budget evaluation result: the numbers plus honesty flags.
+PrivacyReport = namedtuple("PrivacyReport", ("epsilon", "delta", "warnings", "inputs"))
+PrivacyReport.__doc__ = """Budget evaluation result, a named tuple: the numbers plus honesty flags.
 
-    `epsilon` is finite and nonnegative unless "Divergent" appears in
-    `warnings`; `delta` is 0 for the pure budgets. `inputs` echoes the
-    bundle the numbers were computed from.
-    """
-
-    _fields = ("epsilon", "delta", "warnings", "inputs")
-
-    def __init__(self, epsilon: float, delta: float, warnings: tuple[str, ...], inputs: BudgetInputs):
-        fields = self.__dict__
-        fields["epsilon"] = epsilon
-        fields["delta"] = delta
-        fields["warnings"] = warnings
-        fields["inputs"] = inputs
+`epsilon` is finite and nonnegative unless "Divergent" appears in
+`warnings`; `delta` is 0 for the pure budgets. `inputs` echoes the
+bundle the numbers were computed from.
+"""
 
 
 def _depolarizing_scale(p: float, d: float, r: int, dim: int) -> float:
@@ -311,22 +277,19 @@ def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper"
         raise BadConfigError("BadConfig: depolarizing regime needs both p and D")
     if kernel is _tail and (inp.c is None) == (inp.delta is None):
         raise BadConfigError("BadConfig: supply exactly one of c and delta")
-    # The bundle's dict holds d, r, n, mu, p, D, c, delta in that order.
-    return [*inp.__dict__.values(), check_convention(convention)]
+    return [*inp, check_convention(convention)]
 
 
 def _evaluate(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> PrivacyReport:
     """Checked bundle -> kernel -> report, whose inputs carry a derived c.
 
-    The echo is a copy of the checked bundle with c set, built without
-    re-running the validators: the other fields are already checked, and a
+    The echo is a copy of the checked bundle with c set; `_replace` skips
+    the validators, since the other fields are already checked and a
     derived c is a positive, finite float.
     """
     epsilon, delta, c, flags = kernel(regime, *_arguments(kernel, regime, inp, convention))
     if c is not inp.c:
-        echo = object.__new__(BudgetInputs)
-        echo.__dict__.update(inp.__dict__, c=c)
-        inp = echo
+        inp = inp._replace(c=c)
     return PrivacyReport(epsilon, delta, flags, inp)
 
 

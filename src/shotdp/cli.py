@@ -66,10 +66,17 @@ _fmt = "{:.10g}".format
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+# `_fmt` carries a finite value from 1.7976931345e308 up to inf; such a value
+# prints as the largest double rounded down instead, within `.10g`'s rounding.
+_OVERFLOW_TEXT, _LARGEST_TEXT = "1.797693135e+308", "1.797693134e+308"
+
+
 def _float_text(x) -> str:
-    """One float rounded by `_fmt`, as json writes the rounded value;
-    rounding can carry a finite value near the largest double to inf."""
+    """One float rounded by `_fmt`, as json writes the rounded value; a finite
+    value that the rounding carries to inf is written as `_LARGEST_TEXT`."""
     text = float.__repr__(float(_fmt(x)))
+    if text in _NONFINITE and math.isfinite(x):
+        return text.replace("inf", _LARGEST_TEXT)  # "-inf" keeps its sign
     return _NONFINITE.get(text, text)
 
 
@@ -165,11 +172,12 @@ def _json_text(obj) -> str:
 
 def _csv_rows(header: list[str], rows) -> str:
     """CSV text for rows of numbers whose last cell is a tuple of warning flags.
-    One row format prints each number as `_fmt` does."""
+    One row format prints each number as `_fmt` does, and one pass over the
+    text then rewrites an overflowing `.10g` text as `_float_text` does."""
     row_format = "{:.10g}," * (len(header) - 1) + "{}"
     lines = [",".join(header)]
     lines += [row_format.format(*row[:-1], ";".join(row[-1])) for row in rows]
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -226,7 +234,7 @@ def _select_budget(params: dict) -> tuple:
 
 
 def _report_json(report: PrivacyReport) -> str:
-    inputs = {k: v for k, v in vars(report.inputs).items() if v is not None}
+    inputs = {k: v for k, v in report.inputs._asdict().items() if v is not None}
     payload = {"epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings), "inputs": inputs}
     return _json_text(payload)
 
@@ -525,7 +533,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         params=params,
         grid=_parse_grid(grid) if grid else None,
-        seed=check_count(merged.get("seed", 42), "seed", minimum=0),
+        seed=check_count(42 if merged.get("seed") is None else merged["seed"], "seed", minimum=0),
         output_path=merged.get("out"),
         format=merged.get("format"),
     )

@@ -10,6 +10,10 @@ parameters as a `float` (bools and non-numbers rejected), counts as an `int`.
 import math
 import numbers
 import operator
+import sys
+
+# The largest count that float math can take: a larger int overflows a double.
+_LARGEST_COUNT = int(sys.float_info.max)
 
 
 class ShotDPError(ValueError):
@@ -80,7 +84,10 @@ def _real(value, name: str) -> float:
     """A real number as a `float`; bools and non-numbers are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise OutOfRangeError(f"OutOfRange: {name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int (or fraction) beyond the largest double
+        raise OutOfRangeError(f"OutOfRange: {name} exceeds the largest double, {sys.float_info.max!r}") from None
 
 
 def check_distance(d) -> float:
@@ -93,8 +100,9 @@ def check_distance(d) -> float:
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:
-    """A count (r, n, D, trials, seed) of at least `minimum`, as an `int`:
-    integral floats are converted, bools and fractions rejected."""
+    """A count (r, n, D, trials, seed) of at least `minimum` and at most the
+    largest double, as an `int`: integral floats are converted, bools and
+    fractions rejected."""
     if type(value) is int:
         count = value
     elif isinstance(value, bool):
@@ -107,6 +115,8 @@ def check_count(value, name: str, minimum: int = 1) -> int:
         count = None
     if count is None or count < minimum:
         raise OutOfRangeError(f"OutOfRange: {name} must be an integer >= {minimum}, got {value!r}")
+    if count > _LARGEST_COUNT:
+        raise OutOfRangeError(f"OutOfRange: {name} exceeds the largest double, {sys.float_info.max!r}")
     return count
 
 

@@ -98,6 +98,10 @@ class TestExactEpsilon:
         with pytest.raises(DegenerateMuError):
             exact_epsilon(1.0, 0.15, 5)
 
+    def test_rejects_shot_counts_beyond_the_largest_double(self):
+        with pytest.raises(OutOfRangeError, match="shots n exceeds the largest double"):
+            exact_epsilon(0.2, 0.1, 10**400)
+
     def test_subnormal_mean_against_high_precision(self):
         """0.99 / 1e-310 overflows a double; the logs' difference does not."""
         for mu0, mu1 in ((0.99, 1e-310), (1e-310, 0.99), (0.7, 5e-324)):

@@ -1,7 +1,10 @@
 """Closed-form privacy budgets and tail-cutoff conversions."""
 
+import copy
 import math
+import pickle
 import statistics
+import sys
 
 import mpmath
 import numpy as np
@@ -290,10 +293,10 @@ class TestTailBudgets:
         inp = BudgetInputs(d=0.01, r=1, n=10, mu=0.15, delta=0.01, **noise)
         rep = budget(inp, convention="normalized")
         c = c_from_delta(0.01, 0.15, 10, "normalized")
-        assert rep.inputs == BudgetInputs(**{**vars(inp), "c": c})
+        assert rep.inputs == BudgetInputs(**{**inp._asdict(), "c": c})
         assert type(rep.inputs) is BudgetInputs and type(rep.inputs.c) is float
         assert rep.inputs.c == c and inp.c is None
-        assert hash(rep.inputs) == hash(BudgetInputs(**{**vars(inp), "c": c}))
+        assert hash(rep.inputs) == hash(BudgetInputs(**{**inp._asdict(), "c": c}))
 
     def test_exactly_one_of_c_and_delta(self):
         with pytest.raises(BadConfigError, match="exactly one"):
@@ -432,7 +435,7 @@ class TestBudgetInputsValidation:
             BudgetInputs(d=0.1, r=1, n=10.5, mu=0.15)
 
     @pytest.mark.parametrize("field", ["d", "mu", "p", "c", "delta"])
-    @pytest.mark.parametrize("value", [True, False, "abc", "0.1", [0.1]])
+    @pytest.mark.parametrize("value", [True, False, "abc", "0.1", [0.1], 10**400])
     def test_real_parameters_reject_bools_and_non_numbers(self, field, value):
         base = {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, "c": 0.05}
         with pytest.raises(OutOfRangeError):
@@ -450,6 +453,19 @@ class TestBudgetInputsValidation:
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, delta=float("inf"))
         with pytest.raises(OutOfRangeError):
             BudgetInputs(d=0.1, r=1, n=10, mu=0.15, c=float("nan"))
+
+    @pytest.mark.parametrize("field, named", [("r", "rank r"), ("n", "shots n"), ("D", "dimension D")])
+    def test_counts_beyond_the_largest_double_rejected(self, field, named):
+        base = {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2}
+        largest = int(sys.float_info.max)
+        assert getattr(BudgetInputs(**{**base, field: largest}), field) == largest
+        for count in (largest + 1, 10**400):
+            with pytest.raises(OutOfRangeError, match=f"OutOfRange: {named} exceeds the largest double"):
+                BudgetInputs(**{**base, field: count})
+
+    def test_counts_past_exact_doubles_still_evaluate(self):
+        for n in (2**53 + 1, 10**300):
+            assert math.isfinite(epsilon_noiseless(BudgetInputs(d=1e-200, r=1, n=n, mu=0.15)).epsilon)
 
 
 _OMIT = object()
@@ -471,6 +487,7 @@ _ANY = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 2**70),
+    st.just(10**400),  # beyond the largest double
     st.integers(-3, 2000).map(float),
     st.floats(),
     st.floats(-0.5, 1.5),
@@ -510,7 +527,7 @@ class TestBudgetInputsMatchesTable:
                 BudgetInputs(**values)
             assert str(raised.value) == str(exc)
             return
-        got = BudgetInputs(**values).__dict__
+        got = BudgetInputs(**values)._asdict()
         assert list(got) == list(budget._FIELD_CHECKS)
         assert [(type(v), repr(v)) for v in got.values()] == [(type(v), repr(v)) for v in want.values()]
 
@@ -557,7 +574,7 @@ class TestKernelFlags:
 
 
 class TestRecords:
-    """`BudgetInputs` and `PrivacyReport` behave as frozen dataclasses would."""
+    """`BudgetInputs` and `PrivacyReport` are named tuples of their fields."""
 
     def test_repr_text(self):
         inp = BudgetInputs(0.1, 1, 10.0, 0.15, delta=0.01)
@@ -571,12 +588,19 @@ class TestRecords:
         assert inp == same and not inp != same
         assert hash(inp) == hash(same) == hash((0.1, 1, 10, 0.15, 0.5, 2, None, None))
         assert inp != BudgetInputs(d=0.1, r=1, n=11, mu=0.15, p=0.5, D=2)
-        assert inp != (0.1, 1, 10, 0.15, 0.5, 2, None, None)
-        assert inp != type("Subclass", (BudgetInputs,), {})(0.1, 1, 10, 0.15, 0.5, 2)
         rep = epsilon_noiseless(inp)
         assert rep == epsilon_noiseless(same) and hash(rep) == hash(epsilon_noiseless(same))
         assert hash(rep) == hash((rep.epsilon, rep.delta, rep.warnings, inp))
         assert rep != PrivacyReport(rep.epsilon, rep.delta, rep.warnings, BudgetInputs(0.1, 1, 11, 0.15))
+
+    def test_records_are_tuples_of_their_values(self):
+        inp = BudgetInputs(d=0.1, r=1, n=10, mu=0.15, p=0.5, D=2)
+        assert inp == tuple(inp) == (0.1, 1, 10, 0.15, 0.5, 2, None, None)
+        d, r, n, mu, p, D, c, delta = inp
+        assert (inp[2], inp[-1], n, delta) == (10, None, 10, None)
+        rep = epsilon_noiseless(inp)
+        epsilon, delta, warnings, inputs = rep
+        assert rep == tuple(rep) == (rep.epsilon, 0.0, (), inp) and inputs is inp
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         inp = BudgetInputs(d=0.1, r=1, n=10, mu=0.15)
@@ -592,10 +616,22 @@ class TestRecords:
         keywords = {"d": 0.1, "r": 2, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, "c": 0.3, "delta": None}
         inp = BudgetInputs(0.1, 2, 10, 0.15, 0.5, 2, 0.3)
         assert inp == BudgetInputs(**keywords)
-        assert vars(inp) == keywords and list(vars(inp)) == list(keywords)
+        assert inp._asdict() == keywords and list(inp._asdict()) == list(keywords) == list(BudgetInputs._fields)
         rep = PrivacyReport(1.0, 0.0, (), inp)
         assert rep == PrivacyReport(epsilon=1.0, delta=0.0, warnings=(), inputs=inp)
-        assert list(vars(rep)) == ["epsilon", "delta", "warnings", "inputs"]
+        assert list(rep._asdict()) == list(PrivacyReport._fields) == ["epsilon", "delta", "warnings", "inputs"]
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_round_trips(self, round_trip):
+        inp = BudgetInputs(d=0.1, r=1, n=10, mu=0.15, p=0.5, D=2, delta=0.01)
+        rep = epsilon_delta_depolarizing(inp)
+        for record in (inp, rep, rep.inputs):
+            again = round_trip(record)
+            assert again == record and type(again) is type(record)
+            assert list(again._asdict()) == list(record._fields)
+        assert type(round_trip(rep).inputs) is BudgetInputs
 
     def test_missing_or_extra_fields_raise_type_error(self):
         with pytest.raises(TypeError):

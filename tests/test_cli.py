@@ -91,7 +91,7 @@ class TestComputeCommand:
         assert json.loads(capsys.readouterr().out)["inputs"]["n"] == 10
 
     @pytest.mark.parametrize("key", ["d", "mu", "p", "c", "delta"])
-    @pytest.mark.parametrize("value", [True, "abc", [0.1]])
+    @pytest.mark.parametrize("value", [True, "abc", [0.1], 10**400])
     def test_config_reals_are_validated_not_coerced(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2, key: value}))
@@ -297,6 +297,24 @@ class TestStrictKeys:
         assert main(["compute", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["epsilon"] == pytest.approx(6.4215954, abs=1e-6)
 
+    def test_null_config_seed_is_the_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": None, "trials": 1000}))
+        assert main(["audit", "--config", str(cfg)]) == 0
+        by_null = capsys.readouterr().out
+        assert json.loads(by_null)["config"]["seed"] == 42
+        assert main(["audit", "--trials", "1000", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == by_null
+
+
+@pytest.mark.parametrize("flag, named", [("--r", "rank r"), ("--n", "shots n"), ("--D", "dimension D")])
+def test_count_beyond_the_largest_double_exits_two(flag, named, capsys):
+    argv = ["compute", "--d", "0.1", "--r", "1", "--n", "10", "--mu", "0.15", "--regime", "depolarizing", "--p", "0.5",
+            "--D", "2", flag, "1" + "0" * 400]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"OutOfRange: {named} exceeds the largest double" in captured.err
+
 
 def test_csv_rows_print_every_number_as_fmt():
     """The one row format matches `_fmt` cell by cell, integer axes included."""
@@ -315,7 +333,9 @@ def _jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
     if isinstance(obj, float):
-        return float(f"{float(obj):.10g}")
+        rounded = float(f"{float(obj):.10g}")
+        # A finite value that the rounding carries to +-inf is written as the largest double rounded down.
+        return math.copysign(1.797693134e308, rounded) if math.isinf(rounded) and math.isfinite(obj) else rounded
     return obj
 
 
@@ -360,6 +380,16 @@ _reports = st.recursive(
                             st.dictionaries(_keys, inner, max_size=8), _tables(inner)),
     max_leaves=12,
 )
+
+
+@pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max, 1.7976931345e308, 1.7976931344e308])
+def test_overflowing_10g_text_prints_the_largest_double_rounded_down(x):
+    """`.10g` carries finite values from 1.7976931345e308 up to inf; both writers print them finite."""
+    text = "-1.797693134e+308" if x < 0 else "1.797693134e+308"
+    assert _json_text(x) == f"{text}\n"
+    assert _json_text({"a": [x, x]}) == f'{{\n  "a": [\n    {text},\n    {text}\n  ]\n}}\n'
+    assert _csv_rows(["x", "w"], [(x, ())]) == f"x,w\n{text},\n"
+    assert float(text) == pytest.approx(x, rel=5e-10)
 
 
 class TestJsonText:
@@ -530,7 +560,7 @@ class TestAuditCommand:
         assert "json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["d", "p"])
-    @pytest.mark.parametrize("value", [True, "abc"])
+    @pytest.mark.parametrize("value", [True, "abc", 10**400])
     def test_config_reals_are_validated_not_coerced(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value, "trials": 2000}))

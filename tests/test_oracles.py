@@ -76,7 +76,7 @@ def pmf_points(draw):
 def bisection_shots(target, inp, regime):
     """Largest n with budget(n) <= target by doubling then bisection; None if n = 1 already exceeds it."""
     budget = epsilon_noiseless if regime == "noiseless" else epsilon_depolarizing
-    evaluate = lambda n: budget(BudgetInputs(**{**vars(inp), "n": n})).epsilon
+    evaluate = lambda n: budget(BudgetInputs(**{**inp._asdict(), "n": n})).epsilon
     if evaluate(1) > target:
         return None
     lo, hi = 1, 2
@@ -150,7 +150,7 @@ def test_shots_for_budget_matches_bisection(regime, d, r, mu, p, dim, shots, str
     inp = BudgetInputs(d=d, r=r, n=1, mu=mu, p=p, D=dim)
     budget = epsilon_noiseless if regime == "noiseless" else epsilon_depolarizing
     # Targets on a budget value exactly, and between budget values.
-    target = budget(BudgetInputs(**{**vars(inp), "n": shots})).epsilon * (1.0 if stretch > 1.5 else stretch)
+    target = budget(BudgetInputs(**{**inp._asdict(), "n": shots})).epsilon * (1.0 if stretch > 1.5 else stretch)
     assume(target > 0.0)
     expected = bisection_shots(target, inp, regime)
     try:
