@@ -42,8 +42,9 @@ def main():
     print()
 
     print("Monte Carlo confirmation of the exact outcome laws (10^5 trials, seed 42)")
-    rep = monte_carlo_audit(mu0, mu1, 4, 100000, seed=42, eps=2.1, delta=1e-6)
-    print(f"  budget (eps=2.1, delta=1e-6) covers the exact mechanism: {rep.dominated['budget_covers_exact']}")
+    rep = monte_carlo_audit(mu0, mu1, 4, 100000, seed=42)
+    covered = hockey_stick_delta(mu0, mu1, 4, 2.1) <= 1e-6
+    print(f"  budget (eps=2.1, delta=1e-6) covers the exact mechanism: {covered}")
     print("  k   exact ratio   sampled ratio")
     for k in sorted(rep.details["epsilon_hat"]):
         exact_k = math.log(rep.details["exact_p0"][k] / rep.details["exact_p1"][k])

@@ -13,9 +13,11 @@ For two binomial laws over the same n the per-count log ratio is affine in
 the count (the binomial coefficients cancel), so its extremes sit at the
 ends of any run of counts: `exact_epsilon` and the dominance audit's window
 maxima are closed forms, and `hockey_stick_delta` needs only P0's pmf.
-Every oracle checks its inputs once and shares one slope pair, from
-`_slopes`, with the kernels `_log_ratio` and `_hockey_stick`. Brute-force
-maxima over all n + 1 outcomes are kept in the tests as references.
+The mechanism is pure-DP at its exact epsilon, so from there up its delta
+is 0.0 by definition, returned without a pmf. Every oracle checks its
+inputs once and shares one slope pair, from `_slopes`, with the kernels
+`_log_ratio` and `_hockey_stick`. Brute-force maxima over all n + 1
+outcomes are kept in the tests as references.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,15 +54,16 @@ _EQ_SLACK = 1e-12
 _TAIL_LOG = 750.0
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Outcome of one audit: oracle values, verdicts, and the numbers behind them.
 
     `dominated` maps check names to booleans; `excluded_outcomes` lists the
     outcome indices the audit left out of its comparisons (boundary counts
     for the endpoint audit, zero-count bins for the Monte Carlo audit);
-    `details` carries the per-check numbers so slack can be inspected.
-    `theorem_epsilon` is None for audits that compare no closed form.
+    `details` carries the per-check numbers so slack can be inspected. The
+    Monte Carlo audit compares no closed form and draws no verdict: its
+    `theorem_epsilon` is None, `dominated` is empty, and its level is the
+    exact epsilon, where `exact_delta_at_eps` is 0.0.
     """
 
     exact_epsilon: float
@@ -70,9 +72,9 @@ class AuditReport:
     dominated: dict[str, bool]
     flags: tuple[str, ...]
     excluded_outcomes: tuple[int, ...]
+    details: dict
     trials: int = 0
     seed: int | None = None
-    details: dict = field(default_factory=dict)
 
 
 class MinExpectation(NamedTuple):
@@ -137,6 +139,8 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
 
 def _hockey_stick(mu0: float, n: int, lead: float, trail: float, eps: float) -> float:
     """`hockey_stick_delta` on checked inputs, with the slopes of `_slopes`."""
+    if eps >= n * max(abs(lead), abs(trail)):
+        return 0.0  # at or above the exact epsilon no count's log ratio exceeds eps
     mean = n * mu0
     reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - mu0))
     k = np.arange(max(math.ceil(mean - reach), 0), min(math.floor(mean + reach), n) + 1)
@@ -155,10 +159,16 @@ def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     in eps; at eps = 0 it is the total-variation distance. Both means must
     lie strictly inside (0, 1).
 
-    Only counts within t = L/3 + sqrt(L^2/9 + 2 L n mu0 (1-mu0)) of n mu0,
-    with L = `_TAIL_LOG`, are summed: by Bernstein's inequality P0 puts less
-    than 2 e^-L on the rest, and every term there rounds to 0.0 in the full
-    sum too. So the window is O(sqrt(n)) counts and drops nothing.
+    At eps >= `exact_epsilon(mu0, mu1, n)` it is 0.0 by definition, for any
+    n and without a pmf. That exact epsilon is rounded, so the true delta at
+    it may be nonzero, but below about eps 2^-50: 4.09e-22 at mu0 = 0.25,
+    mu1 = 0.15, n = 10, by mpmath.
+
+    Below the exact epsilon, only counts within
+    t = L/3 + sqrt(L^2/9 + 2 L n mu0 (1-mu0)) of n mu0, with L = `_TAIL_LOG`,
+    are summed: by Bernstein's inequality P0 puts less than 2 e^-L on the
+    rest, and every term there rounds to 0.0 in the full sum too. So the
+    window is O(sqrt(n)) counts and drops nothing.
     """
     eps, mu0 = check_nonnegative(eps, "eps"), check_mean(mu0, "mean mu0")
     n, mu1 = check_count(n, "shots n"), check_mean(mu1, "mean mu1")
@@ -326,24 +336,16 @@ def dominance_audit(
     )
 
 
-def monte_carlo_audit(
-    mu0: float,
-    mu1: float,
-    n: int,
-    trials: int,
-    seed: int,
-    eps: float | None = None,
-    delta: float | None = None,
-) -> AuditReport:
+def monte_carlo_audit(mu0: float, mu1: float, n: int, trials: int, seed: int) -> AuditReport:
     """Confirm the exact oracles against seeded sampling of both mechanisms.
 
     Draws `trials` sample means under each mean, histograms the counts, and
     estimates the per-outcome log-ratio from the two histograms. Outcomes
     with a zero count in either histogram carry no estimate; they are
-    listed in `excluded_outcomes`. When a budget (eps, delta) is supplied,
-    the report also records whether it covers the exact mechanism
-    (hockey-stick delta at eps within the supplied delta). A given eps or
-    delta must be a nonnegative real.
+    listed in `excluded_outcomes`. The audited level is the exact epsilon,
+    where the exact delta is 0.0 by definition, and no verdict is drawn:
+    whether a budget (eps, delta) covers the exact mechanism is
+    `hockey_stick_delta(mu0, mu1, n, eps) <= delta`.
 
     Deterministic given `seed`: the two sampling streams are derived from
     it, so reruns reproduce every empirical number bit-for-bit. Each stream
@@ -354,20 +356,12 @@ def monte_carlo_audit(
     """
     trials = check_count(trials, "trials", minimum=1000)
     seed = check_count(seed, "seed", minimum=0)
-    if eps is not None:
-        eps = check_nonnegative(eps, "eps")
-    if delta is not None:
-        delta = check_nonnegative(delta, "delta")
     mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
     lead, trail = _slopes(mu0, mu1)
-    exact_eps = n * max(abs(lead), abs(trail))
-    exact_delta = _hockey_stick(mu0, n, lead, trail, exact_eps if eps is None else eps)
     law0, law1 = binomial_distribution(mu0, n), binomial_distribution(mu1, n)
     seed0, seed1 = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64).tolist()
-    counts0 = _sample_histogram(law0, trials, seed0)
-    counts1 = _sample_histogram(law1, trials, seed1)
-    emp0 = counts0 / trials
-    emp1 = counts1 / trials
+    counts0, counts1 = _sample_histogram(law0, trials, seed0), _sample_histogram(law1, trials, seed1)
+    emp0, emp1 = counts0 / trials, counts1 / trials
     observable = (counts0 > 0) & (counts1 > 0)
     excluded = tuple(np.flatnonzero(~observable).tolist())
     seen = np.flatnonzero(observable)
@@ -375,16 +369,11 @@ def monte_carlo_audit(
     estimates = list(map(math.log, (emp0[seen] / emp1[seen]).tolist()))
     errors = np.abs(np.array(estimates) - _log_ratio(lead, trail, n, seen)).tolist()
     keys = seen.tolist()
-    eps_hat = dict(zip(keys, estimates))
-    eps_hat_error = dict(zip(keys, errors))
-    dominated = {}
-    if eps is not None and delta is not None:
-        dominated["budget_covers_exact"] = exact_delta <= delta + _EQ_SLACK
     return AuditReport(
-        exact_epsilon=exact_eps,
-        exact_delta_at_eps=exact_delta,
+        exact_epsilon=n * max(abs(lead), abs(trail)),
+        exact_delta_at_eps=0.0,
         theorem_epsilon=None,
-        dominated=dominated,
+        dominated={},
         flags=(),
         excluded_outcomes=excluded,
         trials=trials,
@@ -394,7 +383,7 @@ def monte_carlo_audit(
             "empirical_p1": emp1.tolist(),
             "exact_p0": law0.tolist(),
             "exact_p1": law1.tolist(),
-            "epsilon_hat": eps_hat,
-            "epsilon_hat_abs_error": eps_hat_error,
+            "epsilon_hat": dict(zip(keys, estimates)),
+            "epsilon_hat_abs_error": dict(zip(keys, errors)),
         },
     )

@@ -44,6 +44,8 @@ except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 GRID_AXES = ("n", "p", "c", "delta", "d", "mu")
+# The most points a sweep or figure grid may have; a larger grid exits 2 before any point is made.
+MAX_GRID_POINTS = 10**6
 
 
 class RunConfig:
@@ -205,17 +207,26 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _grid_values(start: float, stop: float, step: float, integer: bool) -> list:
+def _grid_values(start: float, stop: float, step: float, integer: bool) -> range | list:
+    """The points of a checked grid, counted before any is made: a range, or
+    start + i step for each i from 0 while that is <= stop + step 1e-9
+    (index-based, so no float drift accumulates)."""
     if integer:
         lo, hi, inc = round(start), round(stop), round(step)
         if inc < 1 or lo != start or hi != stop or inc != step:
             raise BadConfigError(f"BadConfig: axis needs an integer grid, got {start}:{stop}:{step}")
-        return list(range(lo, hi + 1, inc))
-    values = []
-    # Index-based stepping keeps the grid free of accumulated float drift.
-    while (v := start + len(values) * step) <= stop + step * 1e-9:
-        values.append(v)
-    return values
+        count = (hi - lo) // inc + 1
+    else:
+        limit = stop + step * 1e-9
+        # The quotient (inf if it overflows) estimates the count less one; the rule settles it, capped.
+        count = int(min((limit - start) / step, MAX_GRID_POINTS)) + 1
+        while count <= MAX_GRID_POINTS and start + count * step <= limit:
+            count += 1
+        while start + (count - 1) * step > limit:
+            count -= 1
+    if count > MAX_GRID_POINTS:
+        raise BadConfigError(f"BadConfig: grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points")
+    return range(lo, hi + 1, inc) if integer else [start + i * step for i in range(count)]
 
 
 def _inputs(params: dict) -> BudgetInputs:
@@ -460,8 +471,8 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
             "mu0": mu_hi, "mu1": mu_lo, "attained_by": measured.which,
             "trace_distance": trace_distance(rho, sigma),
         },
-        "dominance": vars(dominance),
-        "monte_carlo": vars(carlo),
+        "dominance": dominance._asdict(),
+        "monte_carlo": carlo._asdict(),
         "single_shot_check": {"epsilon": single_shot_eps, "passed": qdp_passed},
     }
     text = _json_text(payload)
@@ -493,7 +504,7 @@ _COMMANDS = {
     "sweep": ("evaluate a budget along one axis", (*_BUDGET_KEYS, "axis", "grid", "format", "out")),
     "figures": ("write one bundled reference sweep as CSV", ("which", "grid", "out")),
     "audit": ("state-to-verdict audit run",
-              ("dim", "d", "n", "p", "trials", "seed", "state", "anchor", "projector", "format", "out")),
+              ("dim", "d", "n", "p", "trials", "seed", "state", "anchor", "projector", "out")),
 }
 
 
@@ -570,8 +581,6 @@ def main(argv=None) -> int:
                 raise BadConfigError("BadConfig: figures needs --out")
             run_figures(which, cfg.output_path, cfg.grid)
             return 0
-        if cfg.format not in (None, "json"):
-            raise BadConfigError("BadConfig: audit reports are nested; only json output is supported")
         text, code = run_audit(cfg)
         _emit(text, cfg.output_path)
         return code

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from shotdp import (
+    AuditReport,
     DegenerateMuError,
     IncompletePVMError,
     OutOfRangeError,
@@ -159,7 +161,7 @@ class TestExactEpsilonMatchesEndpointRatios:
         lambda: exact_epsilon(0.25, 0.15, 10),
         lambda: hockey_stick_delta(0.25, 0.15, 10, 1.0),
         lambda: dominance_audit(0.1, 1, 10, 0.25, 0.15),
-        lambda: monte_carlo_audit(0.25, 0.15, 10, 1000, seed=3, eps=1.0, delta=0.1),
+        lambda: monte_carlo_audit(0.25, 0.15, 10, 1000, seed=3),
     ],
     ids=["exact_epsilon", "hockey_stick_delta", "dominance_audit", "monte_carlo_audit"],
 )
@@ -184,11 +186,37 @@ class TestHockeyStick:
             tv = 0.5 * float(np.abs(p - q).sum())
             assert hockey_stick_delta(mu0, mu1, n, 0.0) == pytest.approx(tv, abs=1e-12)
 
-    def test_vanishes_at_exact_epsilon(self):
-        """The oracle pair is consistent: no excess mass at the exact budget."""
-        for mu0, mu1, n in ((0.25, 0.15, 4), (0.25, 0.15, 10), (0.4, 0.1, 6)):
-            eps = exact_epsilon(mu0, mu1, n)
-            assert hockey_stick_delta(mu0, mu1, n, eps) <= 1e-12
+    @given(_MEANS, _MEANS, st.integers(1, 10**16), st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.just(math.inf)))
+    @example(0.25, 0.15, 4, 0.0)
+    @example(0.25, 0.15, 10, 0.0)
+    @example(0.4, 0.1, 6, 0.0)
+    @example(0.25, 0.15, 10**16, 0.0)
+    def test_vanishes_at_and_above_exact_epsilon(self, mu0, mu1, n, extra):
+        """The mechanism is pure-DP at its exact epsilon, so delta is exactly
+        0.0 from there up, for any n: no window of counts is built, and
+        without numpy an attempt to build one would fail, not allocate."""
+        eps = exact_epsilon(mu0, mu1, n) + extra
+        with mock.patch("shotdp.audit.np", None):
+            assert hockey_stick_delta(mu0, mu1, n, eps) == 0.0
+
+    @pytest.mark.parametrize("mu0, mu1, n", [(0.25, 0.15, 10), (0.25, 0.15, 4), (0.4, 0.1, 6), (0.6, 0.55, 300)])
+    def test_true_delta_at_the_rounded_exact_epsilon_is_tiny(self, mu0, mu1, n):
+        """The exact epsilon is a rounded float: the true delta there, by mpmath,
+        is below eps 2^-50, and 4.09e-22 at the audit's default pair."""
+        eps = exact_epsilon(mu0, mu1, n)
+        with mpmath.workdps(60):
+            a, b, grow = mpmath.mpf(mu0), mpmath.mpf(mu1), mpmath.exp(mpmath.mpf(eps))
+            terms = (mpmath.binomial(n, k) * (a**k * (1 - a) ** (n - k) - grow * b**k * (1 - b) ** (n - k)) for k in range(n + 1))
+            true_delta = float(sum(t for t in terms if t > 0))
+        assert true_delta <= eps * 2.0**-50
+        if (mu0, mu1, n) == (0.25, 0.15, 10):
+            assert true_delta == pytest.approx(4.09e-22, rel=1e-2)
+
+    def test_budget_coverage_verdicts(self):
+        """A budget (eps, delta) covers the exact mechanism when delta is at
+        least the hockey-stick delta at eps."""
+        assert hockey_stick_delta(0.25, 0.15, 10, 6.0) <= 0.01
+        assert not hockey_stick_delta(0.25, 0.15, 10, 0.1) <= 1e-6
 
     def test_nonincreasing_in_epsilon(self):
         values = [hockey_stick_delta(0.25, 0.15, 10, e) for e in np.linspace(0.0, 6.0, 25)]
@@ -389,6 +417,19 @@ class TestQdpCheck:
         with pytest.raises(OutOfRangeError):
             qdp_check(rho, rho, identity_channel(2), pvm, -0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "budget",
+        [{"eps": "6"}, {"eps": True}, {"delta": False}, {"eps": -3.0}, {"delta": -0.1}, {"eps": math.nan},
+         {"delta": math.nan}, {"delta": "x"}],
+        ids=["eps-string", "eps-bool", "delta-bool", "eps-negative", "delta-negative", "eps-nan", "delta-nan",
+             "delta-string"],
+    )
+    def test_rejects_bad_budget(self, budget):
+        rho = basis_state(2, 0)
+        pvm = [make_projector(basis_columns(2, [0])), make_projector(basis_columns(2, [1]))]
+        with pytest.raises(OutOfRangeError, match="OutOfRange"):
+            qdp_check(rho, rho, identity_channel(2), pvm, **{"eps": 6.0, "delta": 0.01, **budget})
+
 
 class TestDominanceAudit:
     """Endpoint and window checks of the closed-form budget against oracles."""
@@ -399,7 +440,7 @@ class TestDominanceAudit:
         assert rep.flags == ()
         assert rep.theorem_epsilon == pytest.approx(6.4215954, abs=1e-6)
         assert rep.exact_epsilon == pytest.approx(5.1082562, abs=1e-6)
-        assert 0.0 <= rep.exact_delta_at_eps <= 1.0
+        assert rep.exact_delta_at_eps == 0.0
 
     def test_window_excludes_boundary_outcome(self):
         """The lower 3-sigma endpoint clips at zero, so k = 0 is set aside."""
@@ -481,6 +522,19 @@ class TestDominanceAudit:
             return  # checked means with mu1 > mu0, or a gap beyond d r
         assert report.exact_epsilon >= 0.0
 
+    @given(st.floats(0.0, 0.5), st.integers(1, 10**5), st.floats(0.001, 0.45), st.floats(0.0, 1.0))
+    @example(0.1, 10, 0.15, 1.0)
+    @example(0.1, 3, 0.15, 1.0)
+    @example(0.1, 2000, 0.15, 1.0)
+    def test_delta_at_the_theorem_epsilon(self, d, n, mu1, fraction):
+        """The exact delta at the closed-form budget, and 0.0 wherever that
+        budget is at or above the exact epsilon."""
+        mu0 = mu1 + fraction * d
+        rep = dominance_audit(d, 1, n, mu0, mu1)
+        assert rep.exact_delta_at_eps == hockey_stick_delta(mu0, mu1, n, max(rep.theorem_epsilon, 0.0))
+        if rep.theorem_epsilon >= rep.exact_epsilon:
+            assert rep.exact_delta_at_eps == 0.0
+
     def test_zero_distance_budget_is_zero_for_subnormal_p(self):
         """At d = 0 the depolarizing budget is 0 for any p, also where (1-p)/p
         overflows to inf for a subnormal p, so the pair is audited."""
@@ -532,12 +586,6 @@ class TestMonteCarloAudit:
         assert 10 in rep.excluded_outcomes
         assert all(k not in rep.details["epsilon_hat"] for k in rep.excluded_outcomes)
 
-    def test_budget_coverage_verdicts(self):
-        generous = monte_carlo_audit(0.25, 0.15, 10, 5000, seed=5, eps=6.0, delta=0.01)
-        stingy = monte_carlo_audit(0.25, 0.15, 10, 5000, seed=5, eps=0.1, delta=1e-6)
-        assert generous.dominated == {"budget_covers_exact": True}
-        assert stingy.dominated == {"budget_covers_exact": False}
-
     def test_too_few_trials_rejected(self):
         with pytest.raises(OutOfRangeError, match="OutOfRange"):
             monte_carlo_audit(0.25, 0.15, 10, 999, seed=5)
@@ -547,35 +595,24 @@ class TestMonteCarloAudit:
         with pytest.raises(OutOfRangeError, match="seed"):
             monte_carlo_audit(0.25, 0.15, 10, 5000, seed=seed)
 
-    @pytest.mark.parametrize(
-        "budget",
-        [{"eps": "6"}, {"eps": True}, {"delta": False}, {"eps": -3.0}, {"delta": -0.1}, {"eps": math.nan},
-         {"delta": math.nan}, {"delta": "x"}],
-        ids=["eps-string", "eps-bool", "delta-bool", "eps-negative", "delta-negative", "eps-nan", "delta-nan",
-             "delta-string"],
-    )
-    def test_rejects_bad_budget(self, budget):
-        with pytest.raises(OutOfRangeError, match="OutOfRange"):
-            monte_carlo_audit(0.25, 0.15, 10, 5000, seed=5, **{"eps": 6.0, "delta": 0.01, **budget})
-
     @given(
         st.sampled_from([999, 1000, 1000.0, 1000.5, True, None, "1000"]),
         st.one_of(st.integers(-1, 3), st.booleans(), st.none(), st.just(1.5)),
         _ANY,
         _ANY,
-        _ANY,
-        _ANY,
         _SMALL_COUNTS,
     )
-    def test_same_error_as_the_checks_in_order(self, trials, seed, eps, delta, mu0, mu1, n):
-        budget = [(check_nonnegative, level, name) for level, name in ((eps, "eps"), (delta, "delta")) if level is not None]
+    def test_same_error_as_the_checks_in_order(self, trials, seed, mu0, mu1, n):
+        """Checked inputs give a report at the exact epsilon, with delta 0.0 and no verdict."""
         failure = first_failure(
-            (check_count, trials, "trials", 1000), (check_count, seed, "seed", 0), *budget,
+            (check_count, trials, "trials", 1000), (check_count, seed, "seed", 0),
             (check_mean, mu0, "mean mu0"), (check_mean, mu1, "mean mu1"), (check_count, n, "shots n"),
         )
-        call = lambda: monte_carlo_audit(mu0, mu1, n, trials, seed, eps=eps, delta=delta)
+        call = lambda: monte_carlo_audit(mu0, mu1, n, trials, seed)
         if failure is None:
-            assert call().exact_epsilon >= 0.0
+            rep = call()
+            assert rep.exact_epsilon == exact_epsilon(mu0, mu1, n)
+            assert rep.exact_delta_at_eps == 0.0 and rep.dominated == {}
         else:
             assert_raises_like(failure, call)
 
@@ -609,3 +646,16 @@ class TestMonteCarloAudit:
         assert rep.trials == 5000
         assert rep.seed == 9
         assert rep.theorem_epsilon is None
+
+
+class TestAuditReport:
+    """Audit reports are named tuples."""
+
+    def test_equals_the_plain_tuple_of_its_values(self):
+        rep = dominance_audit(d=0.1, r=1, n=10, mu0=0.25, mu1=0.15)
+        assert rep == tuple(rep) and rep == AuditReport(*rep)
+        assert list(rep._asdict()) == list(AuditReport._fields)
+        assert (rep.trials, rep.seed) == (0, None)
+
+    def test_details_has_no_shared_default(self):
+        assert AuditReport._field_defaults == {"trials": 0, "seed": None}

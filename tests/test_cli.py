@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shotdp import BadConfigError, monte_carlo_audit
-from shotdp.cli import _FIGURES, GRID_AXES, _csv_rows, _fmt, _json_text, _parse_grid, main
+from shotdp.cli import (
+    _FIGURES, GRID_AXES, MAX_GRID_POINTS, _csv_rows, _fmt, _grid_values, _json_text, _parse_grid, main,
+)
 
 
 def rows_of(csv_text):
@@ -167,6 +170,41 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", axis, f"--grid={grid}", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("axis, grid", [("n", "1:1e300:1"), ("n", "1:1e10:1"), ("d", "0:1:1e-12")])
+    def test_oversized_grid_exits_two_promptly(self, axis, grid, capsys):
+        """The points are counted before any is made, so a grid of 1e10 or
+        more points is rejected at once, with a one-line error."""
+        point = {"d": "0.01", "r": "1", "n": "10", "mu": "0.15"}
+        point.pop(axis)
+        flags = [arg for key, value in point.items() for arg in (f"--{key}", value)]
+        began = time.perf_counter()
+        assert main(["sweep", "--axis", axis, "--grid", grid, *flags]) == 2
+        assert time.perf_counter() - began < 5.0
+        start, stop, step = _parse_grid(grid)
+        want = f"error: BadConfigError: BadConfig: grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points\n"
+        assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_grid_cap_is_inclusive(self, integer):
+        assert len(_grid_values(1.0, float(MAX_GRID_POINTS), 1.0, integer)) == MAX_GRID_POINTS
+        with pytest.raises(BadConfigError, match="more than"):
+            _grid_values(0.0, float(MAX_GRID_POINTS), 1.0, integer)
+
+    def test_integer_grid_is_a_range(self):
+        assert _grid_values(5.0, 9.0, 2.0, True) == range(5, 10, 2)
+
+    @given(st.floats(-1e3, 1e3), st.floats(0.0, 1e3), st.floats(1e-2, 1e3))
+    @example(0.01, 0.04, 0.01)
+    @example(0.2, 0.4000000000000001, 0.2)
+    @example(1e20, 0.0, 1.0)  # 1e20 + i rounds to 1e20 up to i = 8192
+    def test_float_grid_matches_the_stepping_rule(self, start, width, step):
+        """start + i step for each i from 0 while that is <= stop + step 1e-9."""
+        stop = start + width
+        want = []
+        while (v := start + len(want) * step) <= stop + step * 1e-9:
+            want.append(v)
+        assert _grid_values(start, stop, step, False) == want
 
     def test_axis_cannot_also_be_fixed(self, capsys):
         rc = main(["sweep", "--axis", "n", "--grid", "5:9:1", "--d", "0.1", "--r", "1", "--n", "3", "--mu", "0.15"])
@@ -419,7 +457,7 @@ class TestJsonText:
 
     def test_zero_heavy_audit_payload_matches_standard_library_encoder(self):
         """Outcome arrays at n = 5000, most of whose entries are 0.0."""
-        payload = vars(monte_carlo_audit(0.155, 0.15, 5000, 100000, 7))
+        payload = monte_carlo_audit(0.155, 0.15, 5000, 100000, 7)._asdict()
         assert _json_text(payload) == reference_json_text(payload)
 
     @pytest.mark.parametrize("values", [
@@ -554,10 +592,11 @@ class TestAuditCommand:
         main(["audit", "--trials", "2000", "--seed", "42"])
         assert capsys.readouterr().out == first
 
-    def test_csv_format_rejected(self, capsys):
+    def test_format_flag_is_unknown(self, capsys):
+        """Audit reports are JSON only, so audit takes no --format."""
         rc = main(["audit", "--trials", "2000", "--format", "csv"])
         assert rc == 2
-        assert "json" in capsys.readouterr().err
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["d", "p"])
     @pytest.mark.parametrize("value", [True, "abc", 10**400])

@@ -5,29 +5,32 @@ standard library's `dataclasses`, `inspect`, `statistics` or `json`, and the
 JSON budget commands still leave `json` unloaded. The names
 of `audit`, `shots` and `states` resolve on first use, to the same objects
 their modules define, and only then is numpy loaded. Each check runs in a
-fresh interpreter, since the test process has imported everything already.
+fresh interpreter, since the test process has imported everything already,
+with the caller's PYTHONPATH: it checks the copy of `shotdp` that the tests
+import, the source tree when PYTHONPATH holds `src` and the installed
+package when PYTHONPATH is unset.
 """
 
 import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import shotdp
 from test_golden import CASES, GOLDEN
 
-SRC = Path(__file__).parent.parent / "src"
 SUBMODULES = ("audit", "budget", "errors", "shots", "states")
 
 
 def run_fresh(code: str, *args: str) -> str:
-    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True)
     return done.stdout
+
+
+def test_fresh_interpreter_imports_the_tested_copy():
+    assert run_fresh("import shotdp; print(shotdp.__file__)").strip() == shotdp.__file__
 
 
 def test_cli_import_leaves_scipy_unloaded():
