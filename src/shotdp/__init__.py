@@ -6,19 +6,22 @@ This package evaluates closed-form (epsilon, delta) privacy budgets for that
 mechanism, models the shot noise by its exact binomial law, and audits the
 closed forms against exact binomial oracles. The per-count log ratio of two
 binomial laws is affine in the count, so the exact epsilon is a closed form
-and the exact delta one sum over counts; the brute-force versions live in
-the tests as references.
+and the exact delta the difference of two binomial tails past a short
+direct sum; the brute-force versions live in the tests as references.
 
 Modules:
-    states  density matrices, projectors, channels, trace distance
-    shots   the binomial outcome law, likelihood ratios, sampling
-    budget  closed-form privacy budgets and tail-cutoff conversions
-    audit   exact oracles, dominance audits, Monte Carlo confirmation
-    cli     compute / sweep / figures / audit commands
+    states    density matrices, projectors, channels, trace distance
+    shots     the binomial outcome law, likelihood ratios, sampling
+    binomial  the exact epsilon and hockey-stick delta, one count at a time
+    budget    closed-form privacy budgets and tail-cutoff conversions
+    audit     dominance audits, Monte Carlo confirmation, and the exact
+              oracles of `binomial` under their public names
+    cli       compute / sweep / figures / audit commands
 
 `budget` and `errors` import only the standard library and load with the
-package; `states`, `shots` and `audit` use numpy and load on first use of
-one of their names.
+package. `binomial` imports only the standard library too, and loads on
+first use of one of its names; `states`, `shots` and `audit` use numpy and
+load on first use of one of theirs.
 """
 
 from importlib import import_module
@@ -45,6 +48,7 @@ from .errors import (
     DimMismatchError,
     DistanceTooLargeError,
     IncompletePVMError,
+    IterationCapError,
     NotHermitianError,
     NotPSDError,
     OutOfRangeError,
@@ -54,16 +58,16 @@ from .errors import (
     UnattainableError,
     ZeroNoiseError,
 )
-# The numpy-backed submodules load on first use, so `import shotdp` and the
-# budget commands need only the standard library. Each name below maps to the
-# submodule that defines it, and each submodule to itself.
+# These submodules load on first use, so `import shotdp` and the budget
+# commands load neither numpy nor the exact oracles. Each name below maps to
+# the submodule that defines it, and each submodule to itself.
 _LAZY = {
     name: module
     for module, names in {
         "audit": (
-            "AuditReport", "MinExpectation", "dominance_audit", "exact_epsilon", "hockey_stick_delta",
-            "min_expectation", "monte_carlo_audit", "qdp_check",
+            "AuditReport", "MinExpectation", "dominance_audit", "min_expectation", "monte_carlo_audit", "qdp_check",
         ),
+        "binomial": ("exact_epsilon", "hockey_stick_delta"),
         "shots": (
             "binomial_distribution", "log_binomial_pmf", "log_likelihood_ratio", "sample_means",
         ),
@@ -107,6 +111,7 @@ __all__ = [
     "DimMismatchError",
     "DistanceTooLargeError",
     "IncompletePVMError",
+    "IterationCapError",
     "MinExpectation",
     "NotHermitianError",
     "NotPSDError",

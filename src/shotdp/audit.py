@@ -1,29 +1,27 @@
 """Independent oracles that test the closed-form budgets against the truth.
 
 The budgets in `budget` are derived on a Gaussian surrogate; the mechanism
-they describe is an n-shot binomial. This module computes what the binomial
-mechanism actually leaks (`exact_epsilon`, `hockey_stick_delta`), checks the
-defining privacy inequality on measured states by its hockey-stick sum
-(`qdp_check`), compares the closed forms against their own endpoint
-approximation (`dominance_audit`), and confirms the exact oracles
-empirically (`monte_carlo_audit`). Reports carry slack as data; nothing
-here assumes the budgets are tight.
+they describe is an n-shot binomial. What that mechanism actually leaks,
+`exact_epsilon` and `hockey_stick_delta`, comes from `binomial` and is
+public here too. This module checks the defining privacy inequality on
+measured states by its hockey-stick sum (`qdp_check`), compares the closed
+forms against their own endpoint approximation (`dominance_audit`), and
+confirms the exact oracles empirically (`monte_carlo_audit`). Reports carry
+slack as data; nothing here assumes the budgets are tight.
 
 For two binomial laws over the same n the per-count log ratio is affine in
 the count (the binomial coefficients cancel), so its extremes sit at the
 ends of any run of counts: `exact_epsilon` and the dominance audit's window
-maxima are closed forms, and `hockey_stick_delta` needs only P0's pmf.
-The mechanism is pure-DP at its exact epsilon, so from there up its delta
-is 0.0 by definition, returned without a pmf. Every oracle checks its
-inputs once and shares one slope pair, from `_slopes`, with the kernels
-`_log_ratio` and `_hockey_stick`. Brute-force maxima over all n + 1
-outcomes are kept in the tests as references.
+maxima are closed forms, and the exact delta at the budget is two binomial
+tails past a short direct sum, in O(1) memory for any n. Every oracle
+checks its inputs once and shares one slope pair, from `_slopes`, with the
+kernels `_log_ratio` and `_hockey_stick`. Brute-force maxima over all
+n + 1 outcomes are kept in the tests as references.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
@@ -35,6 +33,8 @@ from .budget import (
     epsilon_noiseless,
     expectation_ratio_bound,
 )
+# The exact oracles live in `binomial` and are this module's public names too.
+from .binomial import _hockey_stick, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
 from .errors import (
     BadConfigError,
     DimMismatchError,
@@ -45,13 +45,11 @@ from .errors import (
     check_mean,
     check_nonnegative,
 )
-from .shots import _sample_histogram, binomial_distribution, log_binomial_pmf, log_likelihood_ratio
+from .shots import _sample_histogram, binomial_distribution, log_likelihood_ratio
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
 
 # Float slack for comparisons that are exact in real arithmetic.
 _EQ_SLACK = 1e-12
-# e^-750 is below half the smallest subnormal double, so exp rounds it to 0.0.
-_TAIL_LOG = 750.0
 
 
 class AuditReport(NamedTuple):
@@ -84,95 +82,6 @@ class MinExpectation(NamedTuple):
     which: str
     mu0: float
     mu1: float
-
-
-def _log_quotient(num: float, den: float, gap: float) -> float:
-    """log(num / den) for positive num and den, given gap = num - den.
-
-    Near 1, log1p of the relative gap keeps the digits that log of the
-    rounded quotient would cancel; away from 1 the quotient is the accurate
-    one, since a relative gap near -1 has already lost them. A quotient that
-    overflows or falls below the smallest normal double has lost its digits
-    too, and there the difference of the two logs is taken instead.
-    """
-    if 0.5 * den <= num <= 2.0 * den:
-        return math.log1p(gap / den)
-    quotient = num / den
-    if sys.float_info.min <= quotient < math.inf:
-        return math.log(quotient)
-    return math.log(num) - math.log(den)
-
-
-def _slopes(mu0: float, mu1: float) -> tuple[float, float]:
-    """The slopes log(mu0 / mu1) and log((1 - mu0) / (1 - mu1)) of the
-    per-count log ratio, for checked means; each within a few units in the
-    last place for means at or above the smallest normal double."""
-    return _log_quotient(mu0, mu1, mu0 - mu1), _log_quotient(1.0 - mu0, 1.0 - mu1, mu1 - mu0)
-
-
-def _log_ratio(lead: float, trail: float, n: int, k):
-    """Per-count log ratio log P0(k) - log P1(k) of the two n-shot count laws.
-
-    The binomial coefficients cancel, leaving the affine form
-
-        k lead + (n - k) trail,  with (lead, trail) = `_slopes(mu0, mu1)`.
-
-    `k` may be a scalar or an array of counts.
-    """
-    return k * lead + (n - k) * trail
-
-
-def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
-    """Smallest eps for which the exact n-shot mechanism is pure-DP.
-
-    The largest absolute log-probability ratio over all n+1 outcomes. The
-    ratio is affine in the count, so the largest magnitude is at k = 0 or
-    k = n: n |log((1-mu0)/(1-mu1))| or n |log(mu0/mu1)|. Both means must
-    lie strictly inside (0, 1).
-    """
-    mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
-    # Rounding is monotone and sign-symmetric, so this is bit for bit the
-    # larger of |_log_ratio| at k = 0 and k = n, from one pair of logs.
-    lead, trail = _slopes(mu0, mu1)
-    return n * max(abs(lead), abs(trail))
-
-
-def _hockey_stick(mu0: float, n: int, lead: float, trail: float, eps: float) -> float:
-    """`hockey_stick_delta` on checked inputs, with the slopes of `_slopes`."""
-    if eps >= n * max(abs(lead), abs(trail)):
-        return 0.0  # at or above the exact epsilon no count's log ratio exceeds eps
-    mean = n * mu0
-    reach = _TAIL_LOG / 3.0 + math.sqrt(_TAIL_LOG * _TAIL_LOG / 9.0 + 2.0 * _TAIL_LOG * mean * (1.0 - mu0))
-    k = np.arange(max(math.ceil(mean - reach), 0), min(math.floor(mean + reach), n) + 1)
-    llr = _log_ratio(lead, trail, n, k)
-    over = llr > eps
-    return float(np.sum(np.exp(log_binomial_pmf(mu0, n, k[over])) * -np.expm1(eps - llr[over])))
-
-
-def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
-    """Smallest valid delta for the exact mechanism at privacy level eps.
-
-    Sums the positive parts of P0(k) - e^eps P1(k) over the outcomes, each
-    written as P0(k) (1 - e^(eps - llr(k))) with llr = log P0 - log P1 in its
-    affine closed form: a term is positive exactly where llr(k) > eps, and no
-    term needs e^eps or a probability that has underflowed to 0.0. Decreasing
-    in eps; at eps = 0 it is the total-variation distance. Both means must
-    lie strictly inside (0, 1).
-
-    At eps >= `exact_epsilon(mu0, mu1, n)` it is 0.0 by definition, for any
-    n and without a pmf. That exact epsilon is rounded, so the true delta at
-    it may be nonzero, but below about eps 2^-50: 4.09e-22 at mu0 = 0.25,
-    mu1 = 0.15, n = 10, by mpmath.
-
-    Below the exact epsilon, only counts within
-    t = L/3 + sqrt(L^2/9 + 2 L n mu0 (1-mu0)) of n mu0, with L = `_TAIL_LOG`,
-    are summed: by Bernstein's inequality P0 puts less than 2 e^-L on the
-    rest, and every term there rounds to 0.0 in the full sum too. So the
-    window is O(sqrt(n)) counts and drops nothing.
-    """
-    eps, mu0 = check_nonnegative(eps, "eps"), check_mean(mu0, "mean mu0")
-    n, mu1 = check_count(n, "shots n"), check_mean(mu1, "mean mu1")
-    return _hockey_stick(mu0, n, *_slopes(mu0, mu1), eps)
 
 
 def min_expectation(rho: DensityMatrix, sigma: DensityMatrix, ch: Channel, m: Projector) -> MinExpectation:
@@ -316,7 +225,7 @@ def dominance_audit(
     return AuditReport(
         exact_epsilon=n * max(abs(lead), abs(trail)),
         # A nan budget is rejected as a nan eps given to hockey_stick_delta is.
-        exact_delta_at_eps=_hockey_stick(mu0, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
+        exact_delta_at_eps=_hockey_stick(mu0, mu1, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
         theorem_epsilon=eps,
         dominated=dominated,
         flags=tuple(flags),

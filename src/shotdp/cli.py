@@ -210,7 +210,8 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 def _grid_values(start: float, stop: float, step: float, integer: bool) -> range | list:
     """The points of a checked grid, counted before any is made: a range, or
     start + i step for each i from 0 while that is <= stop + step 1e-9
-    (index-based, so no float drift accumulates)."""
+    (index-based, so no float drift accumulates), each value once: a step
+    below half a unit in the last place of the running value repeats it."""
     if integer:
         lo, hi, inc = round(start), round(stop), round(step)
         if inc < 1 or lo != start or hi != stop or inc != step:
@@ -226,7 +227,8 @@ def _grid_values(start: float, stop: float, step: float, integer: bool) -> range
             count -= 1
     if count > MAX_GRID_POINTS:
         raise BadConfigError(f"BadConfig: grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points")
-    return range(lo, hi + 1, inc) if integer else [start + i * step for i in range(count)]
+    # The points never decrease, as rounding is monotone, so a repeat follows its first.
+    return range(lo, hi + 1, inc) if integer else list(dict.fromkeys([start + i * step for i in range(count)]))
 
 
 def _inputs(params: dict) -> BudgetInputs:

@@ -80,6 +80,10 @@ class BadConfigError(ShotDPError):
     """Run configuration is malformed or inconsistent."""
 
 
+class IterationCapError(ShotDPError):
+    """An exact oracle would need more iterations than its fixed cap allows."""
+
+
 def _real(value, name: str) -> float:
     """A real number as a `float`; bools and non-numbers are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

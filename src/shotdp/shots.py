@@ -14,22 +14,16 @@ import math
 
 import numpy as np
 
+from .binomial import STIRLERR_TABLE, saddle_means, stirlerr
 from .errors import OutOfRangeError, check_count, check_mean
 
 _TWO_PI = 2.0 * math.pi
-# Stirling's error log k! - log(sqrt(2 pi k) (k/e)^k) at k = 0..15 (0 at k = 0 by convention).
-_STIRLERR = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
-    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
-    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
+_STIRLERR = np.array(STIRLERR_TABLE)
 
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
-    """Stirling's error at counts k >= 0: the table below 16, and above it
-    the series 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9, whose
-    first omitted term is below 1e-16 there."""
+    """`binomial.stirlerr` on an array of counts k >= 0, bit for bit: the
+    table below 16, and above it the same series in the same order."""
     inv = np.maximum(k, 16.0)
     np.divide(1.0, inv, out=inv)
     inv2 = inv * inv
@@ -84,17 +78,6 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
     return out
 
 
-def _rounded_product(n: int, mu: float, complement: bool) -> tuple[float, float]:
-    """n mu, or n (1 - mu), correctly rounded to a double, and its rounding
-    error, from the exact rationals."""
-    num, den = mu.as_integer_ratio()
-    if complement:
-        num = den - num
-    value = n * num / den
-    vnum, vden = value.as_integer_ratio()
-    return value, (n * num * vden - vnum * den) / (den * vden)
-
-
 def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
     """Log of the n-shot count law at `counts` (an integer array in 0..n),
     by default at every k = 0..n.
@@ -121,11 +104,9 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
             raise OutOfRangeError(f"OutOfRange: counts must be integers in 0..{n}")
         k = k.astype(float)
     rest = n - k
-    (mean, slip), (rest_mean, rest_slip) = _rounded_product(n, mu, False), _rounded_product(n, mu, True)
     # The means n mu and n (1-mu) are rounded; to first order, bd0(x, m + e) =
     # bd0(x, m) + e (1 - x/m), which is affine in k, so one step restores them.
-    slope = slip / mean - rest_slip / rest_mean
-    offset = slip + rest_slip - n * rest_slip / rest_mean
+    mean, _, rest_mean, _, slope, offset = saddle_means(mu, n)
     # -log P is accumulated smallest terms first: a constant added to the
     # large terms would round the same way at every count and bias the sum.
     # The form needs 0 < k < n; the two ends are set from their own closed forms below.
@@ -133,7 +114,7 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _stirlerr(k)
         out += _stirlerr(rest)
-        out += offset - _stirlerr(np.array([float(n)]))[0]
+        out += offset - stirlerr(float(n))
         out -= k * slope
         out += _bd0(k, mean)
         out += _bd0(rest, rest_mean)

@@ -3,6 +3,8 @@
 import itertools
 import math
 import sys
+import time
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -15,6 +17,7 @@ from shotdp import (
     AuditReport,
     DegenerateMuError,
     IncompletePVMError,
+    IterationCapError,
     OutOfRangeError,
     PreconditionViolatedError,
     apply_channel,
@@ -36,9 +39,10 @@ from shotdp import (
     qdp_check,
     sample_means,
 )
-from shotdp.audit import _log_quotient, _log_ratio, _slopes
+from shotdp.binomial import _log_quotient, _log_ratio, _slopes
 from shotdp.errors import check_count, check_distance, check_mean, check_nonnegative
 from conftest import random_density, random_projector
+from test_oracles import mp_fraction_tail, mp_hockey_stick
 
 
 def qdp_oracle(p, q, eps, delta):
@@ -131,6 +135,12 @@ _SMALL_COUNTS = st.one_of(
     st.integers(-2, 40), st.floats(-2.0, 40.0), st.sampled_from([3.0, math.nan, math.inf, -math.inf]),
     st.booleans(), st.none(), st.just("3"),
 )
+# Counts up to 4e8, where n mu (1 - mu) <= 1e8 for every mean, which the
+# hockey-stick delta's iteration cap serves at any eps, and non-counts.
+_CAPPED_COUNTS = st.one_of(
+    st.integers(-2, 4 * 10**8), st.floats(-2.0, 4e8), st.sampled_from([3.0, math.nan, math.inf, -math.inf]),
+    st.booleans(), st.none(), st.just("3"),
+)
 
 
 class TestExactEpsilonMatchesEndpointRatios:
@@ -168,7 +178,7 @@ class TestExactEpsilonMatchesEndpointRatios:
 def test_one_slope_pair_per_call(call, monkeypatch):
     """Each oracle takes the two log quotients of its slope pair once."""
     quotients = []
-    monkeypatch.setattr("shotdp.audit._log_quotient", lambda *args: quotients.append(args) or _log_quotient(*args))
+    monkeypatch.setattr("shotdp.binomial._log_quotient", lambda *args: quotients.append(args) or _log_quotient(*args))
     call()
     assert len(quotients) == 2
 
@@ -236,14 +246,14 @@ class TestHockeyStick:
         """The two laws share no mass at double precision, so TV is exactly 1."""
         assert hockey_stick_delta(0.25, 0.15, 10**6, 0.0) == 1.0
 
-    @given(_ANY, _ANY, _SMALL_COUNTS, _ANY)
+    @given(_ANY, _ANY, _CAPPED_COUNTS, _ANY)
     def test_same_error_as_the_checks_in_order(self, mu0, mu1, n, eps):
         failure = first_failure(
             (check_nonnegative, eps, "eps"), (check_mean, mu0, "mean mu0"), (check_count, n, "shots n"),
             (check_mean, mu1, "mean mu1"),
         )
         if failure is None:
-            assert hockey_stick_delta(mu0, mu1, n, eps) >= 0.0
+            assert 0.0 <= hockey_stick_delta(mu0, mu1, n, eps) <= 1.0 + 1e-12
         else:
             assert_raises_like(failure, lambda: hockey_stick_delta(mu0, mu1, n, eps))
 
@@ -254,6 +264,46 @@ class TestHockeyStick:
             terms = (mpmath.binomial(n, k) * (a**k * (1 - a) ** (n - k) - grow * b**k * (1 - b) ** (n - k)) for k in range(n + 1))
             want = float(sum(t for t in terms if t > 0))
         assert hockey_stick_delta(mu0, mu1, n, eps) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_tails_at_n_1e16_in_bounded_memory(self):
+        """At n = 1e16 the window of counts once summed for mu0 = 0.25 held
+        about 3e9 counts, tens of GB; two tails take a few hundred bytes. At
+        tail levels the delta matches 40 digits: sharply for means near 0,
+        and for 0.25 against 0.15 up to the rounding of each llr(k) to a
+        double, which is about 1 at this n."""
+        n = 10**16
+        lead, trail = _slopes(0.25, 0.15)
+        three_sigma = _log_ratio(lead, trail, n, int(n * 0.25 + 3 * math.sqrt(n * 0.1875)))
+        for mu0, mu1, eps in ((1e-15, 5e-16, 2.0), (5e-16, 1e-15, 1.0), (0.25, 0.15, three_sigma), (0.25, 0.15, 0.0)):
+            tracemalloc.start()
+            try:
+                got = hockey_stick_delta(mu0, mu1, n, eps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want, rounding = mp_hockey_stick(mu0, mu1, n, eps, tail=mp_fraction_tail)
+            assert abs(got - want) <= 1e-12 * want + rounding, (mu0, eps, got, want)
+            assert rounding <= (1e-13 if mu0 < 1e-14 else 1e-6) * want
+            assert peak < 2**20
+
+    @pytest.mark.parametrize("mu0, mu1, at_mean", [(0.15, 0.1500000001, False), (0.25, 0.15, True)])
+    def test_past_the_iteration_cap_at_n_1e16(self, mu0, mu1, at_mean):
+        """Near the laws' overlap at n = 1e16 a delta needs far more than
+        `MAX_TERMS` summed counts (eps = 0 for a pair closer than the laws'
+        width) or fraction steps (a run that starts at P0's mean): either
+        raises IterationCapError, in bounded time and memory."""
+        n = 10**16
+        eps = _log_ratio(*_slopes(mu0, mu1), n, n // 4) if at_mean else 0.0
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(IterationCapError, match="IterationCap"):
+                hockey_stick_delta(mu0, mu1, n, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 30.0
+        assert peak < 2**20
 
 
 class TestMinExpectation:

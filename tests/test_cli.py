@@ -198,13 +198,25 @@ class TestSweepCommand:
     @example(0.01, 0.04, 0.01)
     @example(0.2, 0.4000000000000001, 0.2)
     @example(1e20, 0.0, 1.0)  # 1e20 + i rounds to 1e20 up to i = 8192
+    @example(1.0, 0.0, 1e-17)
     def test_float_grid_matches_the_stepping_rule(self, start, width, step):
-        """start + i step for each i from 0 while that is <= stop + step 1e-9."""
+        """start + i step for each i from 0 while that is <= stop + step 1e-9,
+        less each value that repeats its predecessor."""
         stop = start + width
-        want = []
-        while (v := start + len(want) * step) <= stop + step * 1e-9:
-            want.append(v)
+        want, i = [], 0
+        while (v := start + i * step) <= stop + step * 1e-9:
+            if not want or v != want[-1]:
+                want.append(v)
+            i += 1
         assert _grid_values(start, stop, step, False) == want
+
+    def test_float_grid_points_are_distinct(self, capsys):
+        """A step below half a unit in the last place of the start gives one
+        point, not copies of it."""
+        assert _grid_values(1e20, 1e20, 1.0, False) == [1e20]
+        assert main(["sweep", "--axis", "c", "--grid", "1:1:1e-17", "--d", "0.01", "--r", "1", "--n", "10", "--mu", "0.15"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2 and rows[1].startswith("1,")
 
     def test_axis_cannot_also_be_fixed(self, capsys):
         rc = main(["sweep", "--axis", "n", "--grid", "5:9:1", "--d", "0.1", "--r", "1", "--n", "3", "--mu", "0.15"])

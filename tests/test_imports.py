@@ -3,8 +3,8 @@
 Importing `shotdp` or `shotdp.cli` loads neither scipy nor numpy, nor the
 standard library's `dataclasses`, `inspect`, `statistics` or `json`, and the
 JSON budget commands still leave `json` unloaded. The names
-of `audit`, `shots` and `states` resolve on first use, to the same objects
-their modules define, and only then is numpy loaded. Each check runs in a
+of `audit`, `binomial`, `shots` and `states` resolve on first use, to the
+same objects their modules define, and only `binomial`'s load no numpy. Each check runs in a
 fresh interpreter, since the test process has imported everything already,
 with the caller's PYTHONPATH: it checks the copy of `shotdp` that the tests
 import, the source tree when PYTHONPATH holds `src` and the installed
@@ -21,7 +21,7 @@ import pytest
 import shotdp
 from test_golden import CASES, GOLDEN
 
-SUBMODULES = ("audit", "budget", "errors", "shots", "states")
+SUBMODULES = ("audit", "binomial", "budget", "errors", "shots", "states")
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -43,6 +43,17 @@ def test_cli_import_leaves_heavy_stdlib_unloaded():
     loaded = run_fresh(code)
     assert "'shotdp.cli'" in loaded
     assert [name for name in ("dataclasses", "inspect", "statistics", "json") if repr(name) in loaded] == []
+
+
+def test_exact_oracles_load_without_numpy():
+    """The exact oracles import only the standard library, alone and through
+    the package, and the command line does not load them."""
+    code = (
+        "import sys, shotdp.cli; cli = 'shotdp.binomial' in sys.modules\n"
+        "import shotdp.binomial; from shotdp import exact_epsilon, hockey_stick_delta\n"
+        "print(cli, 'numpy' in sys.modules, hockey_stick_delta(0.25, 0.15, 10**6, 1.0))"
+    )
+    assert run_fresh(code).split() == ["False", "False", "1.0"]
 
 
 # Imports the package and the command line, then runs every golden budget

@@ -5,15 +5,17 @@ and the shot count for a budget in closed form. The brute-force and search
 versions they replaced live here as references: the largest absolute
 difference of the two log pmfs over all n + 1 counts, the window as masks
 over all counts, and doubling then bisection on the budget itself. The
-binomial law is checked against mpmath's log-gamma, and the windowed
-hockey-stick sum against the sum over all n + 1 counts.
+binomial law is checked against mpmath's log-gamma, and the hockey-stick
+delta of two binomial tails against a 40-digit mpmath sum.
 """
 
+import itertools
 import math
 import sys
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.special import gammaln
@@ -29,7 +31,7 @@ from shotdp import (
     log_binomial_pmf,
     shots_for_budget,
 )
-from shotdp.audit import _log_ratio, _slopes
+from shotdp.binomial import _Law, _slopes
 
 # Means at or above the smallest normal double, where the closed form
 # promises a few units in the last place.
@@ -178,20 +180,159 @@ def test_log_binomial_pmf_matches_mpmath(point):
                 assert abs(mpmath.expm1(value - reference)) <= 1e-11, (k, value, reference)
 
 
-@given(
-    mu0=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
-    mu1=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
-    n=st.integers(min_value=1, max_value=2 * 10**5),
-    share=st.floats(min_value=0.0, max_value=1.0),
-)
-@example(mu0=0.25, mu1=0.15, n=2 * 10**5, share=0.0)
-@example(mu0=0.5, mu1=0.499, n=2 * 10**5, share=0.5)
-def test_windowed_hockey_stick_matches_full_sum(mu0, mu1, n, share):
-    """The window drops no term that the sum over all n + 1 counts keeps,
-    at levels up to the exact epsilon, where only far tail counts are left."""
-    eps = share * exact_epsilon(mu0, mu1, n)
-    counts = np.arange(n + 1)
-    llr = _log_ratio(*_slopes(mu0, mu1), n, counts)
-    over = llr > eps
-    full = float(np.sum(np.exp(log_binomial_pmf(mu0, n)[over]) * -np.expm1(eps - llr[over])))
-    assert abs(hockey_stick_delta(mu0, mu1, n, eps) - full) <= 1e-14 * full
+def mp_log_pmf(mu, n, k):
+    """log P(k) of Bin(n, mu) at the working precision."""
+    return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(n - k + 1)
+            + k * mpmath.log(mu) + (n - k) * mpmath.log1p(-mu))
+
+
+def mp_tail(mu, n, k, upper):
+    """P(X >= k) if `upper`, else P(X <= k), for X ~ Bin(n, mu) at the working
+    precision: the terms from k away from the mean, summed until they stop
+    counting, or one minus that sum for the complementary tail."""
+    if (k <= 0) if upper else (k >= n):
+        return mpmath.mpf(1)
+    if (k > n) if upper else (k < 0):
+        return mpmath.mpf(0)
+    if (k >= n * mu) == upper:
+        j, step, complement = k, 1 if upper else -1, False
+    else:
+        j, step, complement = k - 1 if upper else k + 1, -1 if upper else 1, True
+    odds = mu / (1 - mu)
+    term, total = mpmath.exp(mp_log_pmf(mu, n, j)), mpmath.mpf(0)
+    while 0 <= j <= n and term > total * mpmath.eps:
+        total += term
+        term *= (n - j) * odds / (j + 1) if step == 1 else j / ((n - j + 1) * odds)
+        j += step
+    return 1 - total if complement else total
+
+
+def mp_fraction_tail(mu, n, k, upper):
+    """`mp_tail` from the continued fraction of the incomplete beta function
+    I_mu(k, n - k + 1) (Numerical Recipes 6.4, modified Lentz) at the working
+    precision, for laws too wide to sum: the lower tail is the mirror image,
+    and on the slow side of the fraction one minus the complementary tail."""
+    if not upper:
+        return mp_fraction_tail(1 - mu, n, n - k, True)
+    if k <= 0 or k > n:
+        return mpmath.mpf(int(k <= 0))
+    if mu * (n + 3) >= k + 1:
+        return 1 - mp_fraction_tail(1 - mu, n, n - k + 1, True)
+    a, b = mpmath.mpf(k), mpmath.mpf(n - k + 1)
+    c, d = mpmath.mpf(1), 1 / (1 - (a + b) * mu / (a + 1))
+    h = d
+    for m in itertools.count(1):
+        for aa in (m * (b - m) * mu / ((a - 1 + 2 * m) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * mu / ((a + 2 * m) * (a + 1 + 2 * m))):
+            d = 1 / (1 + aa * d)
+            c = 1 + aa / c
+            h *= d * c
+        if abs(d * c - 1) < mpmath.eps:
+            return mpmath.exp(mp_log_pmf(mu, n, k)) * (1 - mu) * h
+
+
+def mp_hockey_stick(mu0, mu1, n, eps, tail=mp_tail):
+    """The hockey-stick delta of the float inputs at 40 digits, and the most
+    that rounding the affine log ratio to doubles can move it.
+
+    Up to n = 1000 the positive parts are summed over every count; above,
+    delta = S0 - e^eps S1 for the two laws' tails (from `tail`) from the
+    first count whose exact log ratio exceeds eps. A double-precision llr(k)
+    is off by a few units in the last place of |k lead| + |(n - k) trail|
+    (the slopes are rounded), and delta moves by e^eps P1(k) per unit of
+    llr(k), so the second value is 2^-51 e^eps sum_k P1(k) (|k lead| +
+    |(n - k) trail|) over the counts from two before the run.
+    """
+    lead, trail = (abs(v) for v in _slopes(mu0, mu1))
+    with mpmath.workdps(40):
+        a, b, e = mpmath.mpf(mu0), mpmath.mpf(mu1), mpmath.mpf(eps)
+        over = mpmath.log(a / b) - mpmath.log((1 - a) / (1 - b))  # exact slope of llr in k
+        if over == 0:
+            return 0.0, 0.0
+        upper = over > 0
+        edge = (e - n * mpmath.log((1 - a) / (1 - b))) / over  # llr(edge) = eps
+        first = int(mpmath.floor(edge)) + 1 if upper else int(mpmath.ceil(edge)) - 1
+        start = first - 2 if upper else first + 2
+        grow = mpmath.exp(e)
+        if n <= 1000:
+            delta = weight = mpmath.mpf(0)
+            for k in range(n + 1):
+                p0, p1 = mpmath.exp(mp_log_pmf(a, n, k)), mpmath.exp(mp_log_pmf(b, n, k))
+                delta += max(p0 - grow * p1, 0)
+                if (k >= start) if upper else (k <= start):
+                    weight += p1 * (k * lead + (n - k) * trail)
+        else:
+            delta = tail(a, n, first, upper) - grow * tail(b, n, first, upper)
+            # sum_k k P1(k) over a tail is n mu1 times the tail of Bin(n - 1, mu1) from k - 1.
+            weight = n * trail * tail(b, n, start, upper) + (lead - trail) * n * b * tail(b, n - 1, start - 1, upper)
+        return float(delta), float(2**-51 * grow * weight)
+
+
+@st.composite
+def hockey_stick_points(draw):
+    """Means in either order, n across both references, and eps from 0 to
+    past the exact epsilon, with the pairs close enough for the run to start
+    inside the laws' bulk."""
+    mu0 = draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    mu1 = draw(st.one_of(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+        st.floats(min_value=0.9, max_value=1.1).map(lambda f: min(max(mu0 * f, 1e-6), 1.0 - 1e-6)),
+    ))
+    n = draw(st.one_of(st.integers(min_value=1, max_value=1000), st.integers(min_value=1001, max_value=10**6)))
+    share = draw(st.floats(min_value=0.0, max_value=1.1))
+    return mu0, mu1, n, share * exact_epsilon(mu0, mu1, n)
+
+
+@given(point=hockey_stick_points())
+@example(point=(0.25, 0.15, 2 * 10**5, 0.0))
+@example(point=(0.5, 0.499, 2 * 10**5, 0.5 * exact_epsilon(0.5, 0.499, 2 * 10**5)))
+# The window and the full sum differed here by 1.02e-14 relative.
+@example(point=(0.5, 0.3125, 217, 0.5 * exact_epsilon(0.5, 0.3125, 217)))
+@example(point=(0.151, 0.15, 10**6, 1.0))
+@example(point=(0.15, 0.151, 10**6, 1.0))
+@example(point=(0.45, 0.44998, 10**6, 0.01))
+# Laws far closer than their width, where S0 - e^eps S1 at the run's first
+# count cancels to 1e-9 of itself, and llr(k) is rounded by below 1e-20.
+@example(point=(0.3, 0.3000000001, 100, 0.0))
+@example(point=(0.70000003, 0.7, 1000, 0.0))
+def test_hockey_stick_matches_mpmath(point):
+    """Every delta above 1e-300 is within 1e-12 relative of 40 digits, past
+    the error that rounding the log ratio to doubles sets for any float
+    evaluation of it; deltas below 1e-300 stay below 1e-290."""
+    mu0, mu1, n, eps = point
+    got = hockey_stick_delta(mu0, mu1, n, eps)
+    want, rounding = mp_hockey_stick(mu0, mu1, n, eps)
+    if want > 1e-300:
+        assert abs(got - want) <= 1e-12 * want + rounding, (got, want, rounding)
+    else:
+        assert 0.0 <= got <= 1e-290
+
+
+@pytest.mark.parametrize("n, mu", [
+    (7, 0.9), (30, 0.3), (10**4, 0.15), (10**6, 0.15), (10**6, 0.151), (10**7, 1e-5), (10**16 + 1, 5e-16),
+    (10**16 + 3, 3e-15),
+])
+def test_tails_on_both_sides_of_the_switch(n, mu):
+    """Each tail takes the continued fraction where lambda = a - (n + 1) x
+    >= 0 and one minus the complementary tail on the other side. Both tails,
+    at the counts around the switch and 3 and 10 standard deviations either
+    side, are within 1e-13 relative of 40 digits, also where n - k is above
+    2^53 and a double would round it."""
+    law = _Law(mu, n)
+    spread, switch = math.sqrt(n * mu * (1.0 - mu)), math.floor((n + 1) * mu)
+    counts = {switch + j for j in range(-2, 4)} | {round(n * mu + z * spread) for z in (-10, -3, 3, 10)}
+    for k in sorted(c for c in counts if 0 <= c <= n):
+        for upper in (True, False):
+            scale, rest = law.tail(k, upper)
+            with mpmath.workdps(40):
+                want = mp_tail(mpmath.mpf(mu), n, k, upper)
+            assert abs(math.exp(scale) * rest - want) <= 1e-13 * want, (k, upper)
+
+
+@pytest.mark.parametrize("mu0, mu1", [(0.151, 0.15), (0.15, 0.151)])
+def test_delta_at_the_mean_of_a_million_shots(mu0, mu1):
+    """At n = 1e6 and eps = 1 the tails are taken at P0's mean, where a
+    fraction on the slow side of the switch lost 6e-9 relative; here the
+    delta is within 1e-12 relative of 40 digits, in both orderings."""
+    want, _ = mp_hockey_stick(mu0, mu1, 10**6, 1.0)
+    assert abs(hockey_stick_delta(mu0, mu1, 10**6, 1.0) - want) <= 1e-12 * want

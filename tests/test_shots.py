@@ -16,7 +16,8 @@ from shotdp import (
     log_likelihood_ratio,
     sample_means,
 )
-from shotdp.shots import _sample_counts, _sample_histogram
+from shotdp.binomial import _Law, stirlerr
+from shotdp.shots import _sample_counts, _sample_histogram, _stirlerr
 
 
 def llr_oracle(x, mu0, mu1, n):
@@ -69,6 +70,23 @@ class TestBinomialDistribution:
         got = log_binomial_pmf(0.3, 100, counts)
         assert got.shape == counts.shape
         np.testing.assert_array_equal(got, log_binomial_pmf(0.3, 100)[counts])
+
+    def test_scalar_stirlerr_is_the_array_form_bit_for_bit(self):
+        counts = np.array([0.0, 1.0, 15.0, 16.0, 17.0, 123.0, 4567.0, 1e6, 3.7e15, 1e300])
+        np.testing.assert_array_equal(_stirlerr(counts), [stirlerr(float(k)) for k in counts])
+
+    @given(st.floats(1e-300, 1.0 - 1e-16), st.integers(1, 10**7), st.lists(st.integers(0, 10**7), max_size=6))
+    @example(0.3, 100, list(range(101)))
+    @example(0.488126935591685, 10**7, [4824364, 4938174])
+    def test_scalar_log_pmf_within_a_few_ulps_of_the_array(self, mu, n, counts):
+        """The scalar pmf of the exact oracles runs the array form's operations
+        on one count. np.log and math.log may differ in the last bit, and the
+        near-mean series stops at a length set by its own count rather than
+        by the array's farthest one, so bit equality is not asked for."""
+        counts = sorted({min(k, n) for k in [0, n, n // 2, *counts]})
+        law = _Law(mu, n)
+        for k, value in zip(counts, log_binomial_pmf(mu, n, np.array(counts))):
+            assert abs(law.log_pmf(k) - value) <= 4 * math.ulp(value), k
 
     def test_log_pmf_at_a_subnormal_mean(self):
         """k / (n mu) overflows here; the log of P(1) = 2 mu (1 - mu) does not."""
