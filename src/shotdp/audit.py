@@ -22,7 +22,6 @@ n + 1 outcomes are kept in the tests as references.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,7 @@ from .budget import (
     expectation_ratio_bound,
 )
 # The exact oracles live in `binomial` and are this module's public names too.
-from .binomial import _hockey_stick, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
+from .binomial import _hockey_stick, _last_holding, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
 from .errors import (
     BadConfigError,
     DimMismatchError,
@@ -174,6 +173,10 @@ def dominance_audit(
     When mu0 + mu1 > 1 the ratio's quadratic coefficient flips sign and the
     endpoint-maximum argument breaks; the report flags NonConvexRegime
     instead of asserting anything.
+
+    Any n that `check_count` admits is taken: the window's edge counts are
+    found by bisection in O(log n) steps, and its maxima and the exact
+    delta at the budget take O(1) memory.
     """
     d, r, n = check_distance(d), check_count(r, "rank r"), check_count(n, "shots n")
     mu0, mu1 = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1")
@@ -202,9 +205,10 @@ def dominance_audit(
     llr_upper = log_likelihood_ratio(x_upper, mu0, mu1, n)
 
     # Counts k with raw_lower <= k/n <= raw_upper, k/n compared as a float,
-    # as one run k_lo..k_hi; k/n never decreases in k, so each edge is a bisection.
-    k_lo = bisect_left(range(n + 1), raw_lower, key=lambda k: k / n)
-    k_hi = bisect_right(range(n + 1), raw_upper, key=lambda k: k / n) - 1
+    # as one run k_lo..k_hi; k/n never decreases in k, so each edge is a
+    # bisection, with sentinels one past either end (an empty run has k_lo > k_hi).
+    k_lo = _last_holding(lambda k: k / n >= raw_lower, n + 1, -1)
+    k_hi = _last_holding(lambda k: k / n <= raw_upper, -1, n + 1)
     lead, trail = _slopes(mu0, mu1)
 
     def run_max(lo: int, hi: int) -> float:

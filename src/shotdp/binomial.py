@@ -226,6 +226,21 @@ def _log_ratio(lead: float, trail: float, n: int, k):
     return k * lead + (n - k) * trail
 
 
+def _last_holding(holds, inside: int, outside: int) -> int:
+    """The last count, going from `inside` toward `outside`, at which
+    `holds` is true, by bisection in O(log |outside - inside|) calls.
+
+    `holds` must be true at `inside`, false at `outside`, and change once
+    between them. Either end may be a sentinel one past the counts, where
+    `holds` is never called; `inside` itself is returned when no count
+    strictly between the ends holds.
+    """
+    while abs(inside - outside) > 1:
+        mid = (inside + outside) // 2
+        inside, outside = (mid, outside) if holds(mid) else (inside, mid)
+    return inside
+
+
 def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     """Smallest eps for which the exact n-shot mechanism is pure-DP.
 
@@ -246,18 +261,12 @@ def _hockey_stick(mu0: float, mu1: float, n: int, lead: float, trail: float, eps
     if eps >= n * max(abs(lead), abs(trail)):
         return 0.0  # at or above the exact epsilon no count's log ratio exceeds eps
     # The float log ratio is monotone in k, as rounding is, rising when mu0 > mu1
-    # and falling otherwise; the run {k: llr(k) > eps} starts at the first count
-    # past the crossing, found by bisection, and ends at n, or at 0.
+    # and falling otherwise; the run {k: llr(k) > eps} ends at n, or at 0, and
+    # starts at the last count from that end where llr(k) > eps, with sentinels
+    # one past either end.
     upper = lead > trail
     step, beyond = (1, n + 1) if upper else (-1, -1)
-    # Sentinels: llr(inside) > eps >= llr(outside), with the first one past either end.
-    inside, outside = beyond, n - beyond
-    while abs(inside - outside) > 1:
-        mid = (inside + outside) // 2
-        if _log_ratio(lead, trail, n, mid) > eps:
-            inside = mid
-        else:
-            outside = mid
+    inside = _last_holding(lambda k: _log_ratio(lead, trail, n, k) > eps, beyond, n - beyond)
     if inside == beyond:
         return 0.0
     # While the excess P0 (1 - e^(eps - llr)) is under half of P0, sum it count by

@@ -27,6 +27,7 @@ The tail cutoff `c` and the tail mass `delta` are interchangeable through
 from __future__ import annotations
 
 import math
+import sys
 import warnings as _warnings
 from collections import namedtuple
 
@@ -36,6 +37,7 @@ except ImportError:  # an interpreter without the C accelerator
     from statistics import _normal_dist_inv_cdf
 
 from .errors import (
+    _LARGEST_COUNT,
     BadConfigError,
     DeltaOutOfRangeError,
     OutOfRangeError,
@@ -361,10 +363,13 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
     round to one double, the steps and the answer's precision are the
     spacing of doubles there. Raises UnattainableError when even one
     shot exceeds the target, and BadConfigError when the budget is
-    identically zero (nothing to bound: d = 0, or p = 1).
+    identically zero (nothing to bound: d = 0, or p = 1). Raises
+    OutOfRangeError for a target that is not positive or not finite, and
+    for one whose answer is above the largest count `check_count` admits
+    (the largest double): then the budget at that count is within the target.
     """
-    if not target_epsilon > 0.0:
-        raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive")
+    if not 0.0 < target_epsilon < math.inf:
+        raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive and finite")
     d, r, _, mu, p, dim = _arguments(_pure, regime, inp)[:6]
     scale, quadratic = _pure_coefficients(regime, d, r, mu, p, dim)
     if scale == 0.0:
@@ -375,13 +380,22 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
 
     if evaluate(1) > target_epsilon:
         raise UnattainableError(f"Unattainable: epsilon({1}) = {evaluate(1):.6g} already exceeds {target_epsilon}")
+    if evaluate(_LARGEST_COUNT) <= target_epsilon:
+        raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} needs more shots than the largest "
+                              f"count, {sys.float_info.max!r}")
     q = quadratic / (1.0 - mu)
+    # c0 < 0, as epsilon(1) is within the target; the target's quotient by the
+    # scale is finite, as the answer is below the largest count. Halving the
+    # numerator and denominator, and sqrt(9/4 - 4 q c0) as hypot(3/2, 2 sqrt(-q c0)),
+    # keep -2 c0 and q c0 from overflowing.
     c0 = 4.5 * (1.0 - 2.0 * mu) - target_epsilon / scale
-    s = -2.0 * c0 / (1.5 + math.sqrt(2.25 - 4.0 * q * c0))
-    n = max(int(s * s), 1)
+    s = -c0 / (0.75 + 0.5 * math.hypot(1.5, 2.0 * math.sqrt(q) * math.sqrt(-c0)))
+    # The root's square may round past the largest count, as may a step from it.
+    square = min(s * s, sys.float_info.max)
+    n = max(int(square), 1)
     # Shot counts that round to one double share a budget: past 2**53, step by their spacing.
-    step = max(int(math.ulp(s * s)), 1)
-    while evaluate(n + step) <= target_epsilon:
+    step = max(int(math.ulp(square)), 1)
+    while evaluate(min(n + step, _LARGEST_COUNT)) <= target_epsilon:
         n += step
     while evaluate(n) > target_epsilon:
         n -= step

@@ -198,20 +198,22 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(part) for part in parts)
     except ValueError as exc:
         raise BadConfigError(f"BadConfig: grid values must be numeric, got {text!r}") from exc
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise BadConfigError(f"BadConfig: grid values must be finite, got {text!r}")
-    if step <= 0.0:
-        raise BadConfigError(f"BadConfig: grid step must be positive, got {step}")
-    if stop < start:
-        raise BadConfigError(f"BadConfig: grid stop {stop} below start {start}")
     return start, stop, step
 
 
 def _grid_values(start: float, stop: float, step: float, integer: bool) -> range | list:
-    """The points of a checked grid, counted before any is made: a range, or
-    start + i step for each i from 0 while that is <= stop + step 1e-9
+    """The points of a grid, checked and counted before any is made: a range,
+    or start + i step for each i from 0 while that is <= stop + step 1e-9
     (index-based, so no float drift accumulates), each value once: a step
-    below half a unit in the last place of the running value repeats it."""
+    below half a unit in the last place of the running value repeats it.
+    Every grid has a point: its values must be finite, its step positive and
+    its stop not below its start."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise BadConfigError(f"BadConfig: grid values must be finite, got {start}:{stop}:{step}")
+    if step <= 0.0:
+        raise BadConfigError(f"BadConfig: grid step must be positive, got {step}")
+    if stop < start:
+        raise BadConfigError(f"BadConfig: grid stop {stop} below start {start}")
     if integer:
         lo, hi, inc = round(start), round(stop), round(step)
         if inc < 1 or lo != start or hi != stop or inc != step:
@@ -277,8 +279,6 @@ def _sweep_rows(kernel, regime: str, params: dict, axis: str, values, columns: t
     The fixed parameters are checked once, as a bundle at the first value,
     and each value by its field's validator; the kernel then maps over them.
     """
-    if not values:
-        return []
     args = _arguments(kernel, regime, _inputs({**params, axis: values[0]}), params.get("convention") or "paper")
     slot, check = list(_FIELD_CHECKS).index(axis), _FIELD_CHECKS[axis]
     pick = itemgetter(*map(_OUTPUTS.index, columns))
@@ -302,7 +302,7 @@ def run_sweep(cfg: RunConfig) -> str:
     if fmt not in ("csv", "json"):
         raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
     values = _grid_values(*cfg.grid, integer=axis == "n")
-    kernel, regime = _select_budget({**cfg.params, axis: values[0] if values else None})
+    kernel, regime = _select_budget({**cfg.params, axis: values[0]})
     header = [axis, *_SWEEP_COLUMNS]
     rows = _sweep_rows(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
     if fmt == "csv":

@@ -1,4 +1,8 @@
-"""Shared test helpers: seeded random states, projectors, and budget inputs."""
+"""Shared test helpers: seeded random states, projectors, an exact binomial
+law, and budget inputs."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +27,14 @@ def random_projector(rng, dim, rank):
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     q, _ = np.linalg.qr(g)
     return make_projector(q[:, :rank])
+
+
+def exact_binomial_pmf(mu, n):
+    """Bin(n, mu) at the counts 0..n, each the correctly rounded double of
+    the exact rational C(n, k) mu^k (1 - mu)^(n - k) for the double mu."""
+    a = Fraction(mu)
+    b = 1 - a
+    return np.array([float(math.comb(n, k) * a**k * b ** (n - k)) for k in range(n + 1)])
 
 
 @pytest.fixture

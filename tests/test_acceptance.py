@@ -13,7 +13,6 @@ import time
 
 import mpmath
 import numpy as np
-from scipy import stats
 
 from shotdp import (
     BudgetInputs,
@@ -37,7 +36,7 @@ from shotdp import (
     trace_distance,
 )
 from shotdp.cli import run_audit, run_figures, RunConfig
-from conftest import random_density, random_projector
+from conftest import exact_binomial_pmf, random_density, random_projector
 
 
 def verdict(index, ok, detail):
@@ -155,9 +154,8 @@ def test_acceptance_6_exact_oracle_values():
     eps = exact_epsilon(0.25, 0.15, 4)
     tv = hockey_stick_delta(0.25, 0.15, 4, 0.0)
     residual = hockey_stick_delta(0.25, 0.15, 4, eps)
-    ks = np.arange(5)
-    p0 = stats.binom.pmf(ks, 4, 0.25)
-    p1 = stats.binom.pmf(ks, 4, 0.15)
+    p0 = exact_binomial_pmf(0.25, 4)
+    p1 = exact_binomial_pmf(0.15, 4)
     eps_oracle = float(np.max(np.abs(np.log(p0 / p1))))
     tv_oracle = float(np.clip(p0 - p1, 0.0, None).sum())
     ok = (

@@ -385,6 +385,41 @@ class TestShotsForBudget:
         with pytest.raises(OutOfRangeError):
             shots_for_budget(0.0, BudgetInputs(d=0.1, r=1, n=1, mu=0.15))
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_non_finite_target_rejected(self, target):
+        with pytest.raises(OutOfRangeError, match="finite"):
+            shots_for_budget(target, BudgetInputs(d=0.1, r=1, n=1, mu=0.15))
+
+    @pytest.mark.parametrize("target", [1e307, 1e308, sys.float_info.max])
+    def test_answer_past_the_largest_count_rejected(self, target):
+        """epsilon grows as about 0.023 n here, so these targets need more
+        shots than the largest count a BudgetInputs admits."""
+        with pytest.raises(OutOfRangeError, match="largest count"):
+            shots_for_budget(target, BudgetInputs(d=0.1, r=1, n=1, mu=0.15))
+
+    @pytest.mark.parametrize("d, r, mu, target, about", [
+        (0.1, 1, 0.15, 1e300, 4.335e301),
+        # q c0 overflows a double here, though the answer does not.
+        (1.0, 3, 0.5, 1e308, 3.968e305),
+        # So does -2 c0.
+        (0.07, 1, 0.95, 1.7e308, 8.078e307),
+        # The root's square rounds past the largest double: the target is
+        # just below the budget at the largest count.
+        (0.1, 1, 0.1, None, sys.float_info.max),
+    ])
+    def test_huge_target_served(self, d, r, mu, target, about):
+        """Past 2**53 the answer is the last double whose budget is within
+        the target."""
+        if target is None:
+            largest = epsilon_noiseless(BudgetInputs(d=d, r=r, n=int(sys.float_info.max), mu=mu)).epsilon
+            target = math.nextafter(largest, 0.0)
+        n = shots_for_budget(target, BudgetInputs(d=d, r=r, n=1, mu=mu))
+        assert n == pytest.approx(about, rel=1e-3)
+        assert float(n) == n
+        assert epsilon_noiseless(BudgetInputs(d=d, r=r, n=n, mu=mu)).epsilon <= target
+        following = int(math.nextafter(float(n), math.inf))
+        assert epsilon_noiseless(BudgetInputs(d=d, r=r, n=following, mu=mu)).epsilon > target
+
 
 class TestBudgetInputsValidation:
     """Every malformed parameter is named at construction time."""

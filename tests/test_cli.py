@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from shotdp import BadConfigError, monte_carlo_audit
 from shotdp.cli import (
-    _FIGURES, GRID_AXES, MAX_GRID_POINTS, _csv_rows, _fmt, _grid_values, _json_text, _parse_grid, main,
+    _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_rows, _fmt, _grid_values, _json_text, _parse_grid, main,
+    run_figures, run_sweep,
 )
 
 
@@ -161,15 +162,35 @@ class TestSweepCommand:
         ("delta", "1e-4:inf:1e-4"), ("n", "1:inf:1"), ("p", "nan:1:0.1"), ("d", "0:0.5:inf"), ("mu", "-inf:0.5:0.1"),
     ])
     def test_non_finite_grid_exits_two(self, axis, grid, capsys):
-        # Checked at the parser first: an infinite stop would otherwise make the sweep run forever.
+        # Checked before any point is made: an infinite stop would otherwise make the sweep run forever.
         with pytest.raises(BadConfigError, match="finite"):
-            _parse_grid(grid)
+            _grid_values(*_parse_grid(grid), integer=axis == "n")
         point = {"d": "0.1", "r": "1", "n": "10", "mu": "0.15"}
         point.pop(axis, None)
         flags = [arg for key, value in point.items() for arg in (f"--{key}", value)]
         assert main(["sweep", "--axis", axis, f"--grid={grid}", *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    @pytest.mark.parametrize("axis, grid, error", [
+        ("c", (1.0, 2.0, 0.0), "step must be positive"),
+        ("c", (1.0, 2.0, -1.0), "step must be positive"),
+        ("c", (0.0, math.nan, 1.0), "finite"),
+        ("n", (0.0, math.nan, 1.0), "finite"),
+        ("n", (0.0, math.inf, 1.0), "finite"),
+        ("n", (5.0, 1.0, 1.0), "below start"),
+    ])
+    def test_library_grid_is_checked(self, axis, grid, error):
+        """A grid given as `RunConfig.grid` or to `run_figures` is checked as
+        one given by flag: every grid that is not finite, steps backward or
+        not at all, or stops below its start is a BadConfigError, never an
+        empty table."""
+        params = {"axis": axis, "d": 0.01, "r": 1, "n": 10, "mu": 0.15}
+        params.pop(axis, None)
+        with pytest.raises(BadConfigError, match=error):
+            run_sweep(RunConfig(command="sweep", params=params, grid=grid))
+        with pytest.raises(BadConfigError, match=error):
+            run_figures("fig3" if axis == "n" else "fig4a", None, grid)
 
     @pytest.mark.parametrize("axis, grid", [("n", "1:1e300:1"), ("n", "1:1e10:1"), ("d", "0:1:1e-12")])
     def test_oversized_grid_exits_two_promptly(self, axis, grid, capsys):

@@ -12,13 +12,13 @@ delta of two binomial tails against a 40-digit mpmath sum.
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from shotdp import (
     BudgetInputs,
@@ -31,7 +31,7 @@ from shotdp import (
     log_binomial_pmf,
     shots_for_budget,
 )
-from shotdp.binomial import _Law, _slopes
+from shotdp.binomial import _Law, _log_ratio, _slopes
 
 # Means at or above the smallest normal double, where the closed form
 # promises a few units in the last place.
@@ -47,7 +47,7 @@ def brute_tolerance(mu0, mu1, n):
     """Absolute error bound of `brute_log_ratio`: a few hundred units in the
     last place of the largest term summed into either log pmf."""
     logs = (math.log(mu0), math.log(mu1), math.log1p(-mu0), math.log1p(-mu1))
-    return 1e-13 * (float(gammaln(n + 1)) + n * max(map(abs, logs)))
+    return 1e-13 * (math.lgamma(n + 1) + n * max(map(abs, logs)))
 
 
 def mask_window(mu0, n, raw_lower, raw_upper, log_ratio):
@@ -136,6 +136,30 @@ def test_dominance_window_matches_masks(d, r, n, mu1, share):
     tolerance = brute_tolerance(mu0, mu1, n)
     for field, key in (("window_exact_epsilon", "interior"), ("window_exact_epsilon_with_boundary", "full")):
         assert math.isclose(report.details[field], oracle[key], rel_tol=1e-10, abs_tol=tolerance)
+
+
+@pytest.mark.parametrize("n", [2**63, 10**19, 10**30])
+def test_dominance_window_past_the_largest_range(n):
+    """Past 2^63 - 1 counts, more than a `range` can hold, the window's edges
+    are still where the float k/n, correctly rounded, crosses mu0 -/+ 3 sigma0:
+    at the exact midpoints between each edge value and its outer neighbor."""
+    mu0, mu1 = 0.2, 0.15
+    report = dominance_audit(0.1, 1, n, mu0, mu1)
+    sigma0 = math.sqrt(mu0 * (1.0 - mu0) / n)
+    raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
+    below = (Fraction(math.nextafter(raw_lower, 0.0)) + Fraction(raw_lower)) / 2
+    above = (Fraction(raw_upper) + Fraction(math.nextafter(raw_upper, 1.0))) / 2
+    k_lo, k_hi = math.ceil(below * n), math.floor(above * n)
+    # A count exactly at a midpoint rounds to the even neighbor, which may lie outside.
+    k_lo += not k_lo / n >= raw_lower
+    k_hi -= not k_hi / n <= raw_upper
+    assert k_lo / n >= raw_lower and not (k_lo - 1) / n >= raw_lower
+    assert k_hi / n <= raw_upper and not (k_hi + 1) / n <= raw_upper
+    assert report.details["window_outcome_count"] == k_hi - k_lo + 1
+    assert report.excluded_outcomes == ()
+    lead, trail = _slopes(mu0, mu1)
+    edges = max(abs(_log_ratio(lead, trail, n, k)) for k in (k_lo, k_hi))
+    assert report.details["window_exact_epsilon"] == report.details["window_exact_epsilon_with_boundary"] == edges
 
 
 @given(

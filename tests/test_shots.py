@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy import stats
 
 from shotdp import (
     DegenerateMuError,
@@ -18,6 +17,7 @@ from shotdp import (
 )
 from shotdp.binomial import _Law, stirlerr
 from shotdp.shots import _sample_counts, _sample_histogram, _stirlerr
+from conftest import exact_binomial_pmf
 
 
 def llr_oracle(x, mu0, mu1, n):
@@ -31,9 +31,9 @@ class TestBinomialDistribution:
     """Exact outcome laws for n projective shots."""
 
     def test_matches_reference_pmf(self):
-        """Cross-check the saddle-point construction against scipy's binomial."""
+        """Cross-check the saddle-point construction against the exact rational binomial."""
         for mu, n in ((0.15, 10), (0.5, 7), (0.03, 100), (0.85, 1000)):
-            expected = stats.binom.pmf(np.arange(n + 1), n, mu)
+            expected = exact_binomial_pmf(mu, n)
             np.testing.assert_allclose(binomial_distribution(mu, n), expected, rtol=1e-10, atol=1e-300)
 
     def test_probabilities_sum_to_one(self):
