@@ -10,15 +10,17 @@ Four budgets are provided, indexed by noise regime and accounting style:
 Each accounting style is one scalar kernel on checked numbers: `_pure` and
 `_tail` take the regime, the fields d, r, n, mu, p, D, c, delta and the
 convention, and return (epsilon, delta, c, flags), with flags `()` when
-none applies. Each field has one validator in `errors`, listed in
-`_FIELD_CHECKS`: `BudgetInputs` calls them in field order when it is built,
-and CLI sweeps call the axis field's one per axis value. The public
-functions take a checked bundle, add the checks that depend on the budget
-(`_arguments`), call a kernel on the bundle's values and return a
-`PrivacyReport` with warning flags for regimes where a formula is outside
-its comfort zone; `shots_for_budget` calls the pure kernel per candidate
-shot count, and sweeps map a kernel over their axis. Both records are
-standard-library named tuples. `mu` is always the smaller of the two
+none applies. Each field has one validator in `errors`, and
+`BudgetInputs` is the one place that checks a bundle's fields with them,
+in field order, when it is built. Each field admits one interval of
+values, so a CLI sweep, whose grid points rise, checks its whole axis as
+two bundles, at its first and last point, and calls no validator per
+point. The public functions take a checked bundle, add the checks that
+depend on the budget (`_arguments`), call a kernel on the bundle's values
+and return a `PrivacyReport` with warning flags for regimes where a
+formula is outside its comfort zone; `shots_for_budget` calls the pure
+kernel per candidate shot count, and sweeps map a kernel over their axis.
+Both records are standard-library named tuples. `mu` is always the smaller of the two
 outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
 `delta_from_c` / `c_from_delta`.
@@ -60,34 +62,27 @@ def _normal_quantile(q: float) -> float:
     return _normal_dist_inv_cdf(q, 0.0, 1.0)
 
 
-# Each field's one validator, in the kernels' argument order. The command
-# line's sweeps read this table; BudgetInputs calls the same validators
-# directly, which a test checks against the table.
-_FIELD_CHECKS = {
-    "d": check_distance,
-    "r": lambda r: check_count(r, "rank r"),
-    "n": lambda n: check_count(n, "shots n"),
-    "mu": check_mean,
-    "p": check_noise,
-    "D": lambda dim: check_count(dim, "dimension D"),
-    "c": check_cutoff,
-    "delta": check_delta,
-}
 _REQUIRED = ("d", "r", "n", "mu")
 
 
-class BudgetInputs(namedtuple("BudgetInputs", _FIELD_CHECKS, defaults=(None,) * 4)):
+# The fields in the kernels' argument order: `_arguments` passes a bundle's
+# values to `_pure` and `_tail` positionally, and a sweep's axis slot is the
+# field's index.
+class BudgetInputs(namedtuple("BudgetInputs", ("d", "r", "n", "mu", "p", "D", "c", "delta"), defaults=(None,) * 4)):
     """Parameter bundle shared by the budget formulas: a named tuple of the
     fields d, r, n, mu, p, D, c, delta.
 
     Every field is checked on construction by its one validator in
-    `errors` (the table `_FIELD_CHECKS`), in field order, so an error names
-    the first bad field; p, D, c and delta may be None and are then not
-    checked. Each field is stored as the value its validator returns:
-    counts as `int` (an integral float such as 10.0 is converted) and the
-    other fields as `float`; a bool or a non-number is rejected. As a
-    tuple, the bundle equals, unpacks and indexes as the tuple of its
-    values; `_asdict()` gives the fields by name.
+    `errors`, in field order, so an error names the first bad field; no
+    other code pairs a field with its validator. p, D, c and delta may be
+    None and are then not checked. Each field admits one interval of
+    values, so two bundles that differ in one field check every value of
+    that field between them. Each field is stored as the value its
+    validator returns: counts as `int` (an integral float such as 10.0 is
+    converted, a fraction only when it is an integer) and the other fields
+    as `float`; a bool or a non-number is rejected. As a tuple, the bundle
+    equals, unpacks and indexes as the tuple of its values; `_asdict()`
+    gives the fields by name.
 
     Attributes
     ----------
@@ -113,8 +108,8 @@ class BudgetInputs(namedtuple("BudgetInputs", _FIELD_CHECKS, defaults=(None,) * 
 
     def __new__(cls, d: float, r: int, n: int, mu: float, p: float | None = None, D: int | None = None,
                 c: float | None = None, delta: float | None = None):
-        # The validators of _FIELD_CHECKS, called in field order, so the first
-        # bad field is the one reported.
+        # Each field's validator, called in field order, so the first bad
+        # field is the one reported. Each admits one interval of values.
         return tuple.__new__(cls, (
             check_distance(d),
             check_count(r, "rank r"),

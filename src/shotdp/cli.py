@@ -12,9 +12,10 @@ flags win). One table, `_COMMANDS`, lists the keys each command accepts;
 it builds the flags and checks the config file, so any other key exits 2
 and is named. The budget commands are a thin table over the kernels in
 `budget`: each names a (kernel, regime) pair, `compute` evaluates one
-checked bundle, and a sweep or figure checks its fixed parameters once,
-each axis value with that field's validator, then maps the kernel over the
-axis. Every number is emitted with 10 significant digits through one
+checked bundle, and a sweep or figure checks two bundles, at the first and
+the last axis value, then maps the kernel over the axis. Each field admits
+one interval of values and the axis values rise, so the two bundles check
+every point. Every number is emitted with 10 significant digits through one
 format, `.10g`, so JSON and CSV encode identical values and reruns are
 byte-identical. JSON comes from one writer, `_json_text`: sorted keys and
 a two-space indent, the bytes the standard library's encoder would write,
@@ -35,7 +36,7 @@ import sys
 from itertools import filterfalse, repeat
 from operator import itemgetter
 
-from .budget import _FIELD_CHECKS, _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
+from .budget import _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_index, check_noise
 
 try:
@@ -238,7 +239,7 @@ def _inputs(params: dict) -> BudgetInputs:
     missing = [k for k in _REQUIRED if params.get(k) is None]
     if missing:
         raise BadConfigError(f"BadConfig: missing required parameters {missing}")
-    return BudgetInputs(**{k: params[k] for k in _FIELD_CHECKS if params.get(k) is not None})
+    return BudgetInputs(**{k: params[k] for k in BudgetInputs._fields if params.get(k) is not None})
 
 
 def _select_budget(params: dict) -> tuple:
@@ -276,15 +277,18 @@ def _sweep_rows(kernel, regime: str, params: dict, axis: str, values, columns: t
     """Evaluate one budget along an axis: per value, a row of the value and
     then `columns` of the kernel's results (two or more, "warnings" last).
 
-    The fixed parameters are checked once, as a bundle at the first value,
-    and each value by its field's validator; the kernel then maps over them.
+    The values rise, as every grid's do, and each field admits one interval
+    of values, so two bundles check them all: the fixed parameters with the
+    first value, then with the last. The kernel then maps over the values,
+    which the validators would return unchanged.
     """
     args = _arguments(kernel, regime, _inputs({**params, axis: values[0]}), params.get("convention") or "paper")
-    slot, check = list(_FIELD_CHECKS).index(axis), _FIELD_CHECKS[axis]
+    _inputs({**params, axis: values[-1]})
+    slot = BudgetInputs._fields.index(axis)
     pick = itemgetter(*map(_OUTPUTS.index, columns))
     rows = []
     for v in values:
-        args[slot] = check(v)
+        args[slot] = v
         rows.append((v, *pick(kernel(regime, *args))))
     return rows
 
@@ -443,7 +447,7 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     n = check_count(setting("n", 10), "shots n")
     trials = check_count(setting("trials", 100000), "trials")
     seed = cfg.seed
-    p = None if params.get("p") is None else check_noise(params["p"], allow_zero=True)
+    p = None if params.get("p") is None else check_noise(params["p"])
     rho = _parse_state(params.get("state"), dim, "state", default_diag=True)
     anchor = _parse_state(params.get("anchor"), dim, "anchor")
     sigma = neighbor_state(rho, d, anchor)

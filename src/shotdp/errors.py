@@ -105,15 +105,15 @@ def check_distance(d) -> float:
 
 def check_count(value, name: str, minimum: int = 1) -> int:
     """A count (r, n, D, trials, seed) of at least `minimum` and at most the
-    largest double, as an `int`: integral floats are converted, bools and
-    fractions rejected."""
+    largest double, as an `int`: a real that equals an integer exactly is
+    converted, bools and other fractions rejected."""
     if type(value) is int:
         count = value
     elif isinstance(value, bool):
         count = None
     elif isinstance(value, numbers.Integral):
         count = operator.index(value)
-    elif isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer():
+    elif isinstance(value, numbers.Real) and abs(value) < math.inf and value % 1 == 0:  # exact, unlike a rounded float's
         count = int(value)
     else:
         count = None

@@ -24,6 +24,7 @@ from .errors import (
     DistanceTooLargeError,
     NotHermitianError,
     NotPSDError,
+    OutOfRangeError,
     TraceNotOneError,
     check_count,
     check_distance,
@@ -67,8 +68,15 @@ class Channel:
     dim: int
 
 
+def _finite(a: np.ndarray, name: str) -> np.ndarray:
+    # Every comparison with nan is false, so a tolerance check alone would pass it.
+    if not np.isfinite(a).all():
+        raise OutOfRangeError(f"OutOfRange: {name} entries must be finite")
+    return a
+
+
 def _square_complex(entries, name: str) -> np.ndarray:
-    a = np.array(entries, dtype=complex)
+    a = _finite(np.array(entries, dtype=complex), name)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimMismatchError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
@@ -93,6 +101,8 @@ def make_density(entries) -> DensityMatrix:
 
     Raises
     ------
+    OutOfRangeError
+        If an entry is not finite.
     NotHermitianError
         If the matrix differs from its conjugate transpose beyond 1e-10.
     NotPSDError
@@ -110,7 +120,7 @@ def make_density(entries) -> DensityMatrix:
         raise NotPSDError(f"NotPSD: most negative eigenvalue {eigs[0]:.6e}")
     tr = a.trace().real
     if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"TraceNotOne: trace = {tr!r}")
+        raise TraceNotOneError(f"TraceNotOne: trace = {float(tr)!r}")
     return DensityMatrix(entries=_freeze(a), dim=a.shape[0])
 
 
@@ -146,11 +156,13 @@ def make_projector(columns) -> Projector:
 
     Raises
     ------
+    OutOfRangeError
+        If an entry is not finite.
     ColumnsNotOrthonormalError
         If the Gram matrix of the columns differs from the identity
         beyond 1e-10.
     """
-    v = np.array(columns, dtype=complex)
+    v = _finite(np.array(columns, dtype=complex), "column")
     if v.ndim != 2 or v.shape[0] < 1:
         raise DimMismatchError(f"columns must be a (dim, rank) matrix, got shape {v.shape}")
     dim, rank = v.shape
@@ -168,7 +180,7 @@ def make_projector(columns) -> Projector:
     eig_rank = int(np.count_nonzero(eigs > 0.5))
     if abs(m.trace().real - trace_rank) > PROJECTOR_EIG_TOL or trace_rank != eig_rank or trace_rank != rank:
         raise ColumnsNotOrthonormalError(
-            f"ColumnsNotOrthonormal: trace {m.trace().real!r} inconsistent with eigenvalue count {eig_rank}"
+            f"ColumnsNotOrthonormal: trace {float(m.trace().real)!r} inconsistent with eigenvalue count {eig_rank}"
         )
     return Projector(entries=_freeze(m), dim=dim, rank=trace_rank)
 

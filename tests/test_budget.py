@@ -1,10 +1,12 @@
 """Closed-form privacy budgets and tail-cutoff conversions."""
 
 import copy
+import inspect
 import math
 import pickle
 import statistics
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -32,6 +34,7 @@ from shotdp import (
     shots_for_budget,
 )
 from shotdp import budget
+from shotdp.errors import check_count, check_cutoff, check_delta, check_distance, check_mean, check_noise
 
 
 def pure_noiseless_oracle(d, r, n, mu):
@@ -498,6 +501,19 @@ class TestBudgetInputsValidation:
             with pytest.raises(OutOfRangeError, match=f"OutOfRange: {named} exceeds the largest double"):
                 BudgetInputs(**{**base, field: count})
 
+    @pytest.mark.parametrize("field, named", [("r", "rank r"), ("n", "shots n"), ("D", "dimension D")])
+    def test_fraction_counts_must_be_exact_integers(self, field, named):
+        """A fraction is a count only when it equals an integer exactly: one
+        whose float rounds to an integer is not truncated, and one beyond
+        the largest double is rejected as such, not by an overflow."""
+        base = {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "p": 0.5, "D": 2}
+        stored = getattr(BudgetInputs(**{**base, field: Fraction(6, 2)}), field)
+        assert (type(stored), stored) == (int, 3)
+        with pytest.raises(OutOfRangeError, match=f"OutOfRange: {named} must be an integer >= 1"):
+            BudgetInputs(**{**base, field: Fraction(2**60 + 1, 2)})
+        with pytest.raises(OutOfRangeError, match=f"OutOfRange: {named} exceeds the largest double"):
+            BudgetInputs(**{**base, field: Fraction(10**400)})
+
     def test_counts_past_exact_doubles_still_evaluate(self):
         for n in (2**53 + 1, 10**300):
             assert math.isfinite(epsilon_noiseless(BudgetInputs(d=1e-200, r=1, n=n, mu=0.15)).epsilon)
@@ -542,11 +558,25 @@ def _field_values(draw):
     return {name: value for name, value in values.items() if value is not _OMIT}
 
 
+# Each field's one validator, in field order: the reference the constructor
+# is checked against.
+_FIELD_CHECKS = {
+    "d": check_distance,
+    "r": lambda r: check_count(r, "rank r"),
+    "n": lambda n: check_count(n, "shots n"),
+    "mu": check_mean,
+    "p": check_noise,
+    "D": lambda dim: check_count(dim, "dimension D"),
+    "c": check_cutoff,
+    "delta": check_delta,
+}
+
+
 def _table_record(values):
     """The record as the `_FIELD_CHECKS` table defines it, checked in field order."""
     return {
         name: None if values.get(name) is None and name not in budget._REQUIRED else check(values.get(name))
-        for name, check in budget._FIELD_CHECKS.items()
+        for name, check in _FIELD_CHECKS.items()
     }
 
 
@@ -563,8 +593,16 @@ class TestBudgetInputsMatchesTable:
             assert str(raised.value) == str(exc)
             return
         got = BudgetInputs(**values)._asdict()
-        assert list(got) == list(budget._FIELD_CHECKS)
+        assert list(got) == list(_FIELD_CHECKS)
         assert [(type(v), repr(v)) for v in got.values()] == [(type(v), repr(v)) for v in want.values()]
+
+
+@pytest.mark.parametrize("kernel", [budget._pure, budget._tail])
+def test_kernel_arguments_follow_the_fields(kernel):
+    """`_arguments` passes a bundle's values positionally and a sweep sets
+    its axis by the field's index, so after the regime the kernels take the
+    fields in order, then the convention flag."""
+    assert list(inspect.signature(kernel).parameters) == ["regime", *BudgetInputs._fields, "paper"]
 
 
 class TestKernelFlags:

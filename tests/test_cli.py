@@ -1,5 +1,7 @@
 """Command-line surface: compute, sweep, figures, audit."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdp import BadConfigError, monte_carlo_audit
+from shotdp import BadConfigError, monte_carlo_audit, states
 from shotdp.cli import (
     _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_rows, _fmt, _grid_values, _json_text, _parse_grid, main,
     run_figures, run_sweep,
@@ -270,6 +272,34 @@ _SWEEP_CASES = [
 ]
 
 
+def _fixed_flags(axis, regime, tail):
+    """The fixed parameters of a sweep case, as flag values, less the axis."""
+    fixed = {"d": "0.01", "r": "1", "n": "10", "mu": "0.15", "regime": regime}
+    if regime == "depolarizing":
+        fixed.update(p="0.5", D="2")
+    if tail is not None:
+        fixed[tail] = {"c": "0.05", "delta": "0.01"}[tail]
+    fixed.pop(axis)
+    return fixed
+
+
+def _domain_grid(axis):
+    """A sweep case on `axis` with a grid start, step and point count that
+    may lie outside the axis field's domain, at either end or both."""
+    cases = st.sampled_from([case for case in _SWEEP_CASES if case[0] == axis])
+    if axis == "n":
+        return st.tuples(cases, st.integers(-2, 10**4), st.integers(1, 5000), st.integers(1, 5))
+    return st.tuples(cases, st.floats(-0.25, 1.0), st.floats(1 / 64, 0.5), st.integers(1, 5))
+
+
+def _run(argv):
+    """`main`'s exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 class TestSweepAgreesWithCompute:
     """A sweep row is the compute row at that point, and axis values are validated."""
 
@@ -278,13 +308,7 @@ class TestSweepAgreesWithCompute:
 
     @pytest.mark.parametrize("axis, regime, tail", _SWEEP_CASES)
     def test_sweep_row_equals_compute_row(self, axis, regime, tail, capsys):
-        fixed = {"d": "0.01", "r": "1", "n": "10", "mu": "0.15", "regime": regime}
-        if regime == "depolarizing":
-            fixed.update(p="0.5", D="2")
-        if tail is not None:
-            fixed[tail] = {"c": "0.05", "delta": "0.01"}[tail]
-        fixed.pop(axis)
-        flags = [arg for key, value in fixed.items() for arg in (f"--{key}", value)]
+        flags = [arg for key, value in _fixed_flags(axis, regime, tail).items() for arg in (f"--{key}", value)]
         assert main(["sweep", "--axis", axis, "--grid", _AXIS_GRIDS[axis], *flags]) == 0
         _, rows = rows_of(capsys.readouterr().out)
         start, stop, step = (float(part) for part in _AXIS_GRIDS[axis].split(":"))
@@ -295,13 +319,16 @@ class TestSweepAgreesWithCompute:
             _, (point,) = rows_of(capsys.readouterr().out)
             assert row[1:] == point
 
-    @pytest.mark.parametrize("axis, grid, extra, error", [
-        ("mu", "0.5:1.0:0.25", ["--n", "10"], "DegenerateMuError"),
-        ("p", "0:0.5:0.25", ["--n", "10", "--regime", "depolarizing", "--D", "2"], "ZeroNoiseError"),
-        ("d", "0.5:1.5:0.5", ["--n", "10"], "OutOfRangeError"),
-        ("delta", "0.1:0.5:0.2", ["--n", "10"], "DeltaOutOfRangeError"),
+    @pytest.mark.parametrize("axis, grid, extra, error, named", [
+        ("mu", "0.5:1.0:0.25", ["--n", "10"], "DegenerateMuError", "mu=1.0 "),
+        # Leaves the domain at 1.0, in the middle; the grid is checked at its ends, so the stop is named.
+        ("mu", "0.5:1.5:0.25", ["--n", "10"], "OutOfRangeError", "mu=1.5 "),
+        ("p", "0:0.5:0.25", ["--n", "10", "--regime", "depolarizing", "--D", "2"], "ZeroNoiseError", "probability 0 "),
+        ("d", "0.5:1.5:0.5", ["--n", "10"], "OutOfRangeError", "d=1.5 "),
+        # Above the supremum that sigma sets, which the kernel checks at each point.
+        ("delta", "0.1:0.5:0.2", ["--n", "10"], "DeltaOutOfRangeError", "delta=0.30000000000000004 "),
     ])
-    def test_axis_leaving_the_domain_exits_two(self, axis, grid, extra, error, capsys):
+    def test_axis_leaving_the_domain_exits_two(self, axis, grid, extra, error, named, capsys):
         point = {"d": "0.01", "r": "1", "mu": "0.15"}
         point.pop(axis, None)
         flags = [arg for key, value in point.items() for arg in (f"--{key}", value)]
@@ -309,6 +336,35 @@ class TestSweepAgreesWithCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: {error}: " in captured.err
+        assert named in captured.err
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(GRID_AXES).flatmap(_domain_grid))
+    @example((("mu", "noiseless", None), 0.5, 0.25, 5))  # across mu = 1 in the middle
+    @example((("p", "depolarizing", "delta"), 0.0, 0.25, 3))  # from p = 0
+    @example((("d", "depolarizing", "c"), 0.5, 0.5, 3))  # past d = 1
+    @example((("n", "noiseless", None), 0, 1, 3))  # from n = 0
+    @example((("n", "noiseless", "delta"), 6000, 2000, 3))  # delta = 0.01 leaves its supremum near n = 8000
+    @example((("delta", "noiseless", "delta"), 0.1, 0.2, 3))  # above the supremum at n = 10
+    def test_sweep_exits_zero_exactly_when_every_point_computes(self, drawn):
+        """A grid that may leave the axis field's domain at its start, in its
+        middle or at its stop: the sweep succeeds exactly when `compute`
+        succeeds at every point, and then each row is that point's row;
+        otherwise it exits 2 and writes nothing to stdout."""
+        (axis, regime, tail), start, step, points = drawn
+        stop = start + (points - 1) * step
+        flags = [arg for key, value in _fixed_flags(axis, regime, tail).items() for arg in (f"--{key}", value)]
+        code, out = _run(["sweep", "--axis", axis, f"--grid={start!r}:{stop!r}:{step!r}", *flags])
+        computed = []
+        for v in _grid_values(start, stop, step, integer=axis == "n"):
+            point_code, point_out = _run(["compute", *flags, f"--{axis}={v!r}", "--format", "csv"])
+            assert point_code in (0, 2)
+            if point_code:
+                assert (code, out) == (2, "")
+                return
+            computed.append([_fmt(v), *rows_of(point_out)[1][0]])
+        assert code == 0
+        assert rows_of(out)[1] == computed
 
 
 class TestStrictKeys:
@@ -643,6 +699,17 @@ class TestAuditCommand:
         rc = main(["audit", "--state", "basis:0", "--trials", "2000"])
         assert rc == 2
         assert "DegenerateMu" in capsys.readouterr().err
+
+    def test_zero_noise_is_rejected_before_any_state_is_built(self, monkeypatch, capsys):
+        """p = 0 would end in ZeroNoise inside the dominance audit, so it is
+        rejected with the other parameters."""
+        def no_state(entries):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(states, "make_density", no_state)
+        assert main(["audit", "--p", "0", "--trials", "1000"]) == 2
+        want = "error: ZeroNoiseError: ZeroNoise: depolarizing probability 0 gives an unbounded constant\n"
+        assert capsys.readouterr() == ("", want)
 
     @pytest.mark.parametrize("flags, named", [
         (["--projector", "0,x"], "projector index"),

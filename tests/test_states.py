@@ -1,5 +1,8 @@
 """Density matrices, projectors, channels, and trace distance."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,8 @@ from shotdp import (
     neighbor_state,
     trace_distance,
 )
+from shotdp import states
+from shotdp.errors import check_index
 from conftest import random_density, random_projector
 
 
@@ -61,6 +66,26 @@ class TestMakeDensity:
         with pytest.raises(DimMismatchError):
             make_density(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entries", [
+        [[np.nan, 0], [0, 1]],
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[np.inf, 0], [0, 1]],
+        [[0.5, 0], [0, complex(0.5, -np.inf)]],
+    ])
+    def test_rejects_non_finite_entries(self, entries):
+        """nan passes every tolerance check, as each comparison with it is
+        false, and inf warns on its way to another error; both are rejected
+        first, without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="OutOfRange: density matrix entries must be finite"):
+                make_density(entries)
+
+    def test_wrong_trace_is_printed_as_a_float(self):
+        with pytest.raises(TraceNotOneError) as raised:
+            make_density(np.diag([0.6, 0.5]))
+        assert str(raised.value) == "TraceNotOne: trace = 1.1"
+
     def test_entries_are_read_only(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
@@ -82,6 +107,19 @@ class TestMakeDensity:
             basis_state(2, index)
         with pytest.raises(OutOfRangeError, match="basis index"):
             basis_columns(2, [0, index])
+
+    @pytest.mark.parametrize("index, error", [
+        (Fraction(2**60 + 1, 2), "basis index must be an integer >= 0"),
+        (Fraction(10**400), "basis index exceeds the largest double"),
+    ])
+    def test_fraction_index_must_be_an_exact_integer(self, index, error):
+        """A fraction whose float is an integer is not truncated, and one
+        beyond the largest double is rejected, not overflowed."""
+        with pytest.raises(OutOfRangeError, match=error):
+            check_index(index, 2, "basis index")
+        with pytest.raises(OutOfRangeError, match=error):
+            basis_state(2, index)
+        assert check_index(Fraction(2, 2), 2, "basis index") == 1
 
     @pytest.mark.parametrize("index", [1.0, np.int64(1), np.float64(1.0)], ids=["float", "numpy-int", "numpy-float"])
     def test_integral_indices_accepted(self, index):
@@ -136,6 +174,22 @@ class TestProjectors:
         cols = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ColumnsNotOrthonormalError, match="ColumnsNotOrthonormal"):
             make_projector(cols)
+
+    @pytest.mark.parametrize("columns", [[[np.nan], [0]], [[1], [np.inf]], [[1, 0], [0, complex(np.nan, 1)]]])
+    def test_rejects_non_finite_columns(self, columns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="OutOfRange: column entries must be finite"):
+                make_projector(columns)
+
+    def test_inconsistent_trace_is_printed_as_a_float(self, monkeypatch):
+        """With the tolerances widened, a short column passes the Gram and
+        spectrum checks, and the trace check names its trace, 0.36."""
+        monkeypatch.setattr(states, "ORTHONORMAL_TOL", 0.7)
+        monkeypatch.setattr(states, "PROJECTOR_EIG_TOL", 0.7)
+        with pytest.raises(ColumnsNotOrthonormalError) as raised:
+            make_projector([[0.6], [0.0]])
+        assert str(raised.value) == "ColumnsNotOrthonormal: trace 0.36 inconsistent with eigenvalue count 0"
 
     def test_rejects_too_many_columns(self):
         with pytest.raises(ColumnsNotOrthonormalError):
