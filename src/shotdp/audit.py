@@ -22,18 +22,20 @@ n + 1 outcomes are kept in the tests as references.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
 from .budget import (
     BudgetInputs,
+    _sigma,
     epsilon_depolarizing,
     epsilon_noiseless,
     expectation_ratio_bound,
 )
 # The exact oracles live in `binomial` and are this module's public names too.
-from .binomial import _hockey_stick, _last_holding, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
+from .binomial import _exact_level, _hockey_stick, _last_holding, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
 from .errors import (
     BadConfigError,
     DimMismatchError,
@@ -99,7 +101,7 @@ def qdp_check(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     ch: Channel,
-    projectors: list[Projector],
+    projectors: Iterable[Projector],
     eps: float,
     delta: float,
 ) -> bool:
@@ -120,6 +122,7 @@ def qdp_check(
     so only the outcomes with q_k = 0 keep an excess, of p_k.
     """
     eps, delta = check_nonnegative(eps, "eps"), check_nonnegative(delta, "delta")
+    projectors = list(projectors)  # read once: an iterator would be spent by the first pass
     if not projectors:
         raise IncompletePVMError("IncompletePVM: empty projector family")
     dim = rho.dim
@@ -198,7 +201,7 @@ def dominance_audit(
     if mu0 + mu1 > 1.0:
         flags.append("NonConvexRegime")
 
-    sigma0 = math.sqrt(mu0 * (1.0 - mu0) / n)
+    sigma0 = _sigma(mu0, n)
     raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
     x_lower, x_upper = max(raw_lower, 0.0), min(raw_upper, 1.0)
     llr_lower = log_likelihood_ratio(x_lower, mu0, mu1, n)
@@ -227,7 +230,7 @@ def dominance_audit(
         "window_exact": window_exact <= eps + _EQ_SLACK,
     }
     return AuditReport(
-        exact_epsilon=n * max(abs(lead), abs(trail)),
+        exact_epsilon=_exact_level(n, lead, trail),
         # A nan budget is rejected as a nan eps given to hockey_stick_delta is.
         exact_delta_at_eps=_hockey_stick(mu0, mu1, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
         theorem_epsilon=eps,
@@ -283,7 +286,7 @@ def monte_carlo_audit(mu0: float, mu1: float, n: int, trials: int, seed: int) ->
     errors = np.abs(np.array(estimates) - _log_ratio(lead, trail, n, seen)).tolist()
     keys = seen.tolist()
     return AuditReport(
-        exact_epsilon=n * max(abs(lead), abs(trail)),
+        exact_epsilon=_exact_level(n, lead, trail),
         exact_delta_at_eps=0.0,
         theorem_epsilon=None,
         dominated={},

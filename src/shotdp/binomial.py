@@ -241,6 +241,13 @@ def _last_holding(holds, inside: int, outside: int) -> int:
     return inside
 
 
+def _exact_level(n: int, lead: float, trail: float) -> float:
+    """`exact_epsilon` from the slopes of `_slopes`. Rounding is monotone and
+    sign-symmetric, so this is bit for bit the larger of |_log_ratio| at
+    k = 0 and k = n, from one pair of logs."""
+    return n * max(abs(lead), abs(trail))
+
+
 def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     """Smallest eps for which the exact n-shot mechanism is pure-DP.
 
@@ -250,15 +257,12 @@ def exact_epsilon(mu0: float, mu1: float, n: int) -> float:
     lie strictly inside (0, 1).
     """
     mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
-    # Rounding is monotone and sign-symmetric, so this is bit for bit the
-    # larger of |_log_ratio| at k = 0 and k = n, from one pair of logs.
-    lead, trail = _slopes(mu0, mu1)
-    return n * max(abs(lead), abs(trail))
+    return _exact_level(n, *_slopes(mu0, mu1))
 
 
 def _hockey_stick(mu0: float, mu1: float, n: int, lead: float, trail: float, eps: float) -> float:
     """`hockey_stick_delta` on checked inputs, with the slopes of `_slopes`."""
-    if eps >= n * max(abs(lead), abs(trail)):
+    if eps >= _exact_level(n, lead, trail):
         return 0.0  # at or above the exact epsilon no count's log ratio exceeds eps
     # The float log ratio is monotone in k, as rounding is, rising when mu0 > mu1
     # and falling otherwise; the run {k: llr(k) > eps} ends at n, or at 0, and

@@ -44,6 +44,7 @@ from .errors import (
     DeltaOutOfRangeError,
     OutOfRangeError,
     UnattainableError,
+    _real,
     check_count,
     check_convention,
     check_cutoff,
@@ -359,10 +360,13 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
     spacing of doubles there. Raises UnattainableError when even one
     shot exceeds the target, and BadConfigError when the budget is
     identically zero (nothing to bound: d = 0, or p = 1). Raises
-    OutOfRangeError for a target that is not positive or not finite, and
-    for one whose answer is above the largest count `check_count` admits
-    (the largest double): then the budget at that count is within the target.
+    OutOfRangeError for a target that is not a real number (a bool is not),
+    not positive or not finite, and for one whose answer is above the
+    largest count `check_count` admits (the largest double): then the budget
+    at that count is within the target.
     """
+    if type(target_epsilon) is not float:
+        target_epsilon = _real(target_epsilon, "target epsilon")
     if not 0.0 < target_epsilon < math.inf:
         raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive and finite")
     d, r, _, mu, p, dim = _arguments(_pure, regime, inp)[:6]

@@ -17,15 +17,19 @@ the last axis value, then maps the kernel over the axis. Each field admits
 one interval of values and the axis values rise, so the two bundles check
 every point. Every number is emitted with 10 significant digits through one
 format, `.10g`, so JSON and CSV encode identical values and reruns are
-byte-identical. JSON comes from one writer, `_json_text`: sorted keys and
-a two-space indent, the bytes the standard library's encoder would write,
-without its pure-Python indenting encoder, a rounded copy of the report,
-or the `json` package (which loads only to read --config). A run of floats
-texts each distinct value once and keeps the `.10g` text where it is
-already final, so a zero-heavy outcome array costs one format per
-distinct value, not per entry. Exit codes, all returned by `main`: 0
-success, 2 configuration or validation error (an unknown flag included),
-3 audit dominance failure.
+byte-identical. A table (a sweep, a figure, compute's CSV row) stays a list
+of columns, the axis values and then each output, from the kernel to the
+text: `_csv_text` maps one row format over the columns, and `_json_table`
+texts each column once and lays out one object per row. A nested report
+(compute's JSON, the audit) takes `_json_text`. Both JSON writers write
+sorted keys and a two-space indent, the bytes the standard library's
+encoder would write, without its pure-Python indenting encoder, a rounded
+copy of the report, or the `json` package (which loads only to read
+--config). A run of floats texts each distinct value once and keeps the
+`.10g` text where it is already final, so a zero-heavy outcome array costs
+one format per distinct value, not per entry. Exit codes, all returned by
+`main`: 0 success, 2 configuration or validation error (an unknown flag
+included), 3 audit dominance failure.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import argparse
 import math
 import sys
 from itertools import filterfalse, repeat
-from operator import itemgetter
 
 from .budget import _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_index, check_noise
@@ -112,30 +115,14 @@ _SCALAR_TEXT = {
 
 def _texts(values, newline: str):
     """The JSON text of each value at the indent that `newline` ends in. A run
-    of plain floats, or of plain ints, takes the fast path, and so does a
-    table: plain dicts that share their keys in order, such as sweep rows.
-    Any other mix (a bool is not an int here) is written value by value."""
+    of plain floats, or of plain ints, takes the fast path; any other mix (a
+    bool is not an int here) is written value by value."""
     kinds = set(map(type, values))
     if kinds == {float}:
         return _float_texts(values)
     if kinds == {int}:
         return map(int.__repr__, values)
-    if kinds == {dict} and values[0] and len(set(map(tuple, values))) == 1:
-        return _row_texts(values, newline)
     return [_value_text(v, newline) for v in values]
-
-
-def _row_texts(rows, newline: str):
-    """Dicts that share their keys in order, written column by column: each
-    column takes `_texts` once, and one format string per table lays out
-    every row as `_value_text` would."""
-    inner = newline + "  "
-    # Text key -> key, so a later key wins a collision, as in `_value_text`.
-    names = dict(zip(map(str, rows[0]), rows[0]))
-    keys = sorted(names)
-    fields = ("," + inner).join(_quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    columns = [_texts(list(map(itemgetter(names[k]), rows)), inner) for k in keys]
-    return map(("{{" + inner + fields + newline + "}}").format, *columns)
 
 
 def _value_text(obj, newline: str) -> str:
@@ -173,13 +160,26 @@ def _json_text(obj) -> str:
     return _value_text(obj, "\n") + "\n"
 
 
-def _csv_rows(header: list[str], rows) -> str:
-    """CSV text for rows of numbers whose last cell is a tuple of warning flags.
-    One row format prints each number as `_fmt` does, and one pass over the
-    text then rewrites an overflowing `.10g` text as `_float_text` does."""
+def _json_table(header: list[str], columns) -> str:
+    """A table as JSON text: one object per row, written as `_json_text`
+    writes the row dicts `dict(zip(header, row))`, so a repeated name keeps
+    its last column. Each column takes `_texts` once, and one format string
+    lays out every row."""
+    named = dict(zip(header, columns))
+    keys = sorted(named)
+    inner = "\n    "
+    fields = ("," + inner).join(_quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    body = ",\n  ".join(map(("{{" + inner + fields + "\n  }}").format, *(_texts(named[k], inner) for k in keys)))
+    return "[\n  " + body + "\n]\n" if body else "[]\n"
+
+
+def _csv_text(header: list[str], columns) -> str:
+    """CSV text for columns of numbers whose last column holds tuples of
+    warning flags. One row format prints each number as `_fmt` does, and one
+    pass over the text then rewrites an overflowing `.10g` text as
+    `_float_text` does."""
     row_format = "{:.10g}," * (len(header) - 1) + "{}"
-    lines = [",".join(header)]
-    lines += [row_format.format(*row[:-1], ";".join(row[-1])) for row in rows]
+    lines = [",".join(header), *map(row_format.format, *columns[:-1], map(";".join, columns[-1]))]
     return ("\n".join(lines) + "\n").replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
 
 
@@ -264,7 +264,7 @@ def run_compute(cfg: RunConfig) -> str:
     if fmt == "json":
         return _report_json(report)
     if fmt == "csv":
-        return _csv_rows(["epsilon", "delta", "warnings"], [(report.epsilon, report.delta, report.warnings)])
+        return _csv_text(["epsilon", "delta", "warnings"], [(report.epsilon,), (report.delta,), (report.warnings,)])
     raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
 
 
@@ -273,9 +273,9 @@ _OUTPUTS = ("epsilon", "delta", "c", "warnings")
 _SWEEP_COLUMNS = ("epsilon", "delta", "warnings")
 
 
-def _sweep_rows(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]) -> list[tuple]:
-    """Evaluate one budget along an axis: per value, a row of the value and
-    then `columns` of the kernel's results (two or more, "warnings" last).
+def _sweep_columns(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]) -> list:
+    """Evaluate one budget along an axis: the column of values, then the
+    `columns` of the kernel's results (two or more, "warnings" last).
 
     The values rise, as every grid's do, and each field admits one interval
     of values, so two bundles check them all: the fixed parameters with the
@@ -285,12 +285,12 @@ def _sweep_rows(kernel, regime: str, params: dict, axis: str, values, columns: t
     args = _arguments(kernel, regime, _inputs({**params, axis: values[0]}), params.get("convention") or "paper")
     _inputs({**params, axis: values[-1]})
     slot = BudgetInputs._fields.index(axis)
-    pick = itemgetter(*map(_OUTPUTS.index, columns))
-    rows = []
+    results = []
     for v in values:
         args[slot] = v
-        rows.append((v, *pick(kernel(regime, *args))))
-    return rows
+        results.append(kernel(regime, *args))
+    outputs = tuple(zip(*results))
+    return [values, *(outputs[_OUTPUTS.index(name)] for name in columns)]
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -308,10 +308,8 @@ def run_sweep(cfg: RunConfig) -> str:
     values = _grid_values(*cfg.grid, integer=axis == "n")
     kernel, regime = _select_budget({**cfg.params, axis: values[0]})
     header = [axis, *_SWEEP_COLUMNS]
-    rows = _sweep_rows(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
-    if fmt == "csv":
-        return _csv_rows(header, rows)
-    return _json_text([dict(zip(header, row)) for row in rows])
+    columns = _sweep_columns(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
+    return (_csv_text if fmt == "csv" else _json_table)(header, columns)
 
 
 _SHOT_AXIS = tuple(range(5, 101))
@@ -346,7 +344,7 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     if grid is not None:
         values = _grid_values(*grid, integer=axis == "n")
     params = {"d": 0.1, "r": 1, "mu": 0.15, **fixed}
-    text = _csv_rows([axis, *columns], _sweep_rows(kernel, regime, params, axis, values, columns))
+    text = _csv_text([axis, *columns], _sweep_columns(kernel, regime, params, axis, values, columns))
     _emit(text, out)
     return text
 

@@ -409,6 +409,17 @@ class TestQdpCheck:
         for eps in (0.0, 0.1, 0.5):
             assert qdp_check(rho, sigma, identity_channel(3), pvm, eps, 0.0) == qdp_oracle(p, q, eps, 0.0)
 
+    @pytest.mark.parametrize("family", [list, tuple, iter, lambda pvm: (m for m in pvm)],
+                             ids=["list", "tuple", "iterator", "generator"])
+    def test_reads_the_projectors_once(self, family):
+        """Any iterable of a complete PVM is taken, though only one pass can read an iterator."""
+        rho = make_density(np.diag([0.25, 0.75]))
+        sigma = make_density(np.diag([0.15, 0.85]))
+        pvm = [make_projector(basis_columns(2, [0])), make_projector(basis_columns(2, [1]))]
+        eps_star = math.log(0.25 / 0.15)
+        assert qdp_check(rho, sigma, identity_channel(2), family(pvm), eps_star, 0.0)
+        assert not qdp_check(rho, sigma, identity_channel(2), family(pvm), eps_star - 1e-6, 0.0)
+
     def test_rejects_incomplete_family(self):
         rho = basis_state(2, 0)
         with pytest.raises(IncompletePVMError, match="IncompletePVM"):

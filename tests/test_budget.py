@@ -393,6 +393,20 @@ class TestShotsForBudget:
         with pytest.raises(OutOfRangeError, match="finite"):
             shots_for_budget(target, BudgetInputs(d=0.1, r=1, n=1, mu=0.15))
 
+    @pytest.mark.parametrize("target", [True, False, "20", 20 + 0j, None])
+    def test_non_real_target_rejected(self, target):
+        """A bool is not a target of 1, and text or a complex is no number."""
+        with pytest.raises(OutOfRangeError, match=r"target epsilon must be a real number, got "):
+            shots_for_budget(target, BudgetInputs(d=0.1, r=1, n=10, mu=0.15))
+
+    @pytest.mark.parametrize("target", [20, Fraction(20), np.float64(20.0)])
+    def test_real_target_is_taken_as_its_float(self, target):
+        assert shots_for_budget(target, BudgetInputs(d=0.1, r=1, n=10, mu=0.15)) == 145
+
+    def test_target_beyond_the_largest_double_rejected(self):
+        with pytest.raises(OutOfRangeError, match="target epsilon exceeds the largest double"):
+            shots_for_budget(10**400, BudgetInputs(d=0.1, r=1, n=10, mu=0.15))
+
     @pytest.mark.parametrize("target", [1e307, 1e308, sys.float_info.max])
     def test_answer_past_the_largest_count_rejected(self, target):
         """epsilon grows as about 0.023 n here, so these targets need more

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from shotdp import BadConfigError, monte_carlo_audit, states
 from shotdp.cli import (
-    _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_rows, _fmt, _grid_values, _json_text, _parse_grid, main,
-    run_figures, run_sweep,
+    _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_text, _fmt, _grid_values, _json_table, _json_text,
+    _parse_grid, main, run_figures, run_sweep,
 )
 
 
@@ -444,12 +444,12 @@ def test_count_beyond_the_largest_double_exits_two(flag, named, capsys):
 
 
 def test_csv_rows_print_every_number_as_fmt():
-    """The one row format matches `_fmt` cell by cell, integer axes included."""
+    """The one row format matches `_fmt` cell by cell, integer axes included, from columns."""
     cells = [5, 2**60 + 1, 12345678901, 0.1, 1e-300, 5e-324, 2.0 / 3.0, -0.0, float("inf"), float("-inf"), float("nan")]
     flag_sets = [(), ("Divergent", "RegimeInvalid")]
     rows = [(x, x / 3 if isinstance(x, int) else x, flag_sets[i % 2]) for i, x in enumerate(cells)]
     expected = ["n,epsilon,warnings", *(f"{_fmt(a)},{_fmt(b)},{';'.join(flags)}" for a, b, flags in rows)]
-    assert _csv_rows(["n", "epsilon", "warnings"], rows) == "\n".join(expected) + "\n"
+    assert _csv_text(["n", "epsilon", "warnings"], list(zip(*rows))) == "\n".join(expected) + "\n"
 
 
 def _jsonify(obj):
@@ -515,8 +515,63 @@ def test_overflowing_10g_text_prints_the_largest_double_rounded_down(x):
     text = "-1.797693134e+308" if x < 0 else "1.797693134e+308"
     assert _json_text(x) == f"{text}\n"
     assert _json_text({"a": [x, x]}) == f'{{\n  "a": [\n    {text},\n    {text}\n  ]\n}}\n'
-    assert _csv_rows(["x", "w"], [(x, ())]) == f"x,w\n{text},\n"
+    assert _csv_text(["x", "w"], [(x,), ((),)]) == f"x,w\n{text},\n"
     assert float(text) == pytest.approx(x, rel=5e-10)
+
+
+_FLAGS = ("Divergent", "RegimeInvalid", "RegimeNegativeTerm", "DeltaExceedsOne", "DeltaUnderflow")
+_flag_tuples = st.lists(st.sampled_from(_FLAGS), max_size=3).map(tuple)
+# Header names: the sweep's own, which repeat in a delta sweep, and any text, braces and quotes included.
+_names = st.one_of(st.sampled_from((*GRID_AXES, "epsilon", "warnings")), _strings)
+
+
+@st.composite
+def _column_tables(draw, kinds, last_kinds):
+    """A header and its columns, of one drawn length, as lists or tuples: each column holds one of
+    `kinds`, the last one of `last_kinds`."""
+    header = draw(st.lists(_names, min_size=1, max_size=5))
+    rows = draw(st.integers(0, 6))
+    columns = []
+    for i in range(len(header)):
+        cells = draw(st.sampled_from(last_kinds if i == len(header) - 1 else kinds))
+        column = draw(st.lists(cells, min_size=rows, max_size=rows))
+        columns.append(draw(st.sampled_from((column, tuple(column)))))
+    return header, columns
+
+
+class TestTableWriters:
+    """`_json_table` and `_csv_text` write a table handed over as columns."""
+
+    @settings(max_examples=150)
+    @given(_column_tables((_ints, _floats, _flag_tuples), (_ints, _floats, _flag_tuples)))
+    @example((["delta", "epsilon", "delta", "warnings"],
+              ([1e-3, 0.1], [2.5, math.inf], [2e-3, 0.2], [(), ("Divergent",)])))
+    @example((["n", "epsilon", "warnings"], (range(5, 8), (0.0, -0.0, 0.0), ((), (), ()))))
+    @example((["{x}", "a\"}"], ([math.nan, math.inf, -math.inf, 1.7976931345e308], [-0.0, 0.0, -0.0, 0.0])))
+    @example((["n", "warnings"], ((), ())))
+    def test_json_table_writes_the_row_dicts(self, table):
+        """The JSON of the row dicts `dict(zip(header, row))`, so a repeated name keeps its last column."""
+        header, columns = table
+        assert _json_table(header, columns) == reference_json_text([dict(zip(header, row)) for row in zip(*columns)])
+
+    @settings(max_examples=150)
+    @given(_column_tables((_ints, _floats), (_flag_tuples,)))
+    @example((["x", "y", "w"], ([1.7976931345e308, -sys.float_info.max], [5, 2**60 + 1], [(), ("Divergent",)])))
+    @example((["delta", "epsilon", "delta", "warnings"],
+              ([1e-3], [math.nan], [1e-3], [("DeltaExceedsOne", "Divergent")])))
+    @example((["warnings"], [[(), ("Divergent",)]]))
+    def test_csv_text_writes_each_row_in_fmt(self, table):
+        """Row by row, `_fmt` of each number, where a finite number whose text rounds to inf
+        prints as the largest double rounded down, then the flags joined by semicolons."""
+        header, columns = table
+
+        def cell(x):
+            text = _fmt(x)
+            return _fmt(math.copysign(1.797693134e308, x)) if math.isinf(float(text)) and math.isfinite(x) else text
+
+        rows = zip(*columns)
+        expected = [",".join(header), *(",".join([*map(cell, row[:-1]), ";".join(row[-1])]) for row in rows)]
+        assert _csv_text(header, columns) == "\n".join(expected) + "\n"
 
 
 class TestJsonText:
@@ -528,7 +583,7 @@ class TestJsonText:
     @example({"a": [1.0, math.nan, math.inf, -math.inf, -0.0], "b": (True, False, None, 2**80)})
     @example([1.7976931345e308, -1.7976931348623157e308, 1.0])  # finite values that round to +-inf
     @example([{"{a}": 1.0, "b}": [2, {}], 1: None, "1": "x"}, {"{a}": math.nan, "b}": [], 1: True, "1": "y"}])
-    @example([{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}])  # the same keys in another order are not a table
+    @example([{"a": 1.0, "b": 2}, {"b": 2, "a": 1.0}])  # the same keys in another order
     def test_matches_standard_library_encoder(self, obj):
         assert _json_text(obj) == reference_json_text(obj)
 
@@ -555,8 +610,8 @@ class TestJsonText:
         [{"a": 1.0}, {"b": 2}], [{"a": 1.0}, {"a": 2.0, "b": 3}], [{}, {}], [{"a": 1}, {}], [{"a": 1}, [1]],
     ])
     def test_mixed_lists_bypass_the_fast_paths(self, values):
-        """Bools are not ints, numpy floats are not plain floats, and dicts with other keys are not a
-        table here, but each is written as json would."""
+        """Bools are not ints and numpy floats are not plain floats here, but each is written as json
+        would, and so is a list of dicts, whatever their keys."""
         for obj in (values, {"k": values}, {str(i): v for i, v in enumerate(values)}):
             assert _json_text(obj) == reference_json_text(obj)
 
