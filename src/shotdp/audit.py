@@ -51,6 +51,8 @@ from .states import Channel, DensityMatrix, Projector, apply_channel, expectatio
 
 # Float slack for comparisons that are exact in real arithmetic.
 _EQ_SLACK = 1e-12
+# The fewest trials a Monte Carlo audit draws per mechanism.
+MIN_TRIALS = 1000
 
 
 class AuditReport(NamedTuple):
@@ -270,7 +272,7 @@ def monte_carlo_audit(mu0: float, mu1: float, n: int, trials: int, seed: int) ->
     (`shots._sample_histogram`): one binary search per count, not per
     trial, with the same result as counting the per-trial draws.
     """
-    trials = check_count(trials, "trials", minimum=1000)
+    trials = check_count(trials, "trials", minimum=MIN_TRIALS)
     seed = check_count(seed, "seed", minimum=0)
     mu0, mu1, n = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1"), check_count(n, "shots n")
     lead, trail = _slopes(mu0, mu1)

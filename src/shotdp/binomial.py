@@ -10,9 +10,13 @@ binomial tails past it. Each tail is the pmf at one count times the
 continued fraction of the regularized incomplete beta function.
 
 The pmf is Loader's saddle-point form (C. Loader 2000, the algorithm of R's
-dbinom), here on one count; `shots.log_binomial_pmf` is its array form and
-shares the Stirling table, the scalar `stirlerr` and the correction for the
-rounded means n mu and n (1 - mu). This module imports only the standard
+dbinom), here on one count. Each piece of the form is written once, here,
+on a float or an ndarray alike: the Stirling series `_stirling_series`,
+the near-mean deviance series `_near_deviance` and its length
+`_series_terms`, and the law's constants in `_Law` (the rounded means
+n mu and n (1 - mu), the affine correction for their rounding, and
+-stirlerr(n)). `shots.log_binomial_pmf` evaluates the same form on an
+array of counts from these pieces. This module imports only the standard
 library, so the exact oracles run in O(1) memory for any n.
 """
 
@@ -42,19 +46,28 @@ _SMALLEST_NORMAL = sys.float_info.min
 _CONVERGED = 2.0**-52
 
 
-def stirlerr(k: float) -> float:
-    """Stirling's error at a count k >= 0 (a float): the table below 16, and
-    above it the series 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9,
-    whose first omitted term is below 1e-16 there. The series runs the IEEE
-    operations of `shots._stirlerr` in the same order, so both agree bit for bit."""
-    if k < 16.0:
-        return STIRLERR_TABLE[int(k)]
-    inv = 1.0 / k
+def _stirling_series(inv):
+    """Stirling's series 1/12k - 1/360k^3 + 1/1260k^5 - 1/1680k^7 + 1/1188k^9
+    at inv = 1/k, a float or an ndarray: Horner's form in 1/k^2 with the
+    signed coefficients, the same IEEE operations in the same order on both.
+    An array argument is left as it is; the steps after the first product
+    run in place on a new one."""
     inv2 = inv * inv
     err = inv2 * (1 / 1188)
-    for coef in (1 / 1680, 1 / 1260, 1 / 360):
-        err = (coef - err) * inv2
-    return (1 / 12 - err) * inv
+    for coef in (-1 / 1680, 1 / 1260, -1 / 360):
+        err += coef
+        err *= inv2
+    err += 1 / 12
+    err *= inv
+    return err
+
+
+def stirlerr(k: float) -> float:
+    """Stirling's error at a count k >= 0 (a float): the table below 16, and
+    above it `_stirling_series`, whose first omitted term is below 1e-16 there."""
+    if k < 16.0:
+        return STIRLERR_TABLE[int(k)]
+    return _stirling_series(1.0 / k)
 
 
 def _gap(count: int, mean: float) -> float:
@@ -64,18 +77,40 @@ def _gap(count: int, mean: float) -> float:
     return (count - whole) - (mean - whole)
 
 
+def _series_terms(v2: float) -> int:
+    """How many powers of v^2 `_near_deviance` sums: up to the first one
+    below 2^-53, for the largest v^2 it is given."""
+    return max(math.ceil(-53 * math.log(2.0) / math.log(v2)), 1) if v2 > 0.0 else 1
+
+
+def _near_deviance(x, gap, v, v2, terms: int):
+    """The deviance x log(x/m) + m - x near m, where the direct form cancels:
+
+        (x - m) v + 2x (v^3/3 + v^5/5 + ...),   v = (x - m)/(x + m),
+
+    given gap = x - m, v and v2 = v^2, summed in Horner form to `terms`
+    powers of v^2. x, gap, v and v2 are floats or ndarrays alike, with the
+    same IEEE operations in the same order for both."""
+    tail = 1.0 / (2 * terms + 1)
+    for odd in range(2 * terms - 1, 1, -2):
+        tail *= v2
+        tail += 1.0 / odd
+    tail *= v2
+    tail *= 2.0 * x
+    tail += gap
+    tail *= v
+    return tail
+
+
 def _bd0(x: float, m: float, gap: float) -> float:
     """Deviance x log(x/m) + m - x of a count x >= 1 from a positive mean m,
     given gap = x - m from `_gap`: the scalar form of `shots._bd0`, with the
-    same near-m series (the gap is the same double there for x below 2^53)."""
+    near-m series taken to the length its own v^2 needs (the gap is the
+    same double there for x below 2^53)."""
     if m * (9 / 11) < x < m * (11 / 9):
         v = gap / (x + m)
         v2 = v * v
-        terms = max(math.ceil(-53 * math.log(2.0) / math.log(v2)), 1) if v2 > 0.0 else 1
-        tail = 1.0 / (2 * terms + 1)
-        for odd in range(2 * terms - 1, 1, -2):
-            tail = tail * v2 + 1.0 / odd
-        return (tail * v2 * (2.0 * x) + gap) * v
+        return _near_deviance(x, gap, v, v2, _series_terms(v2))
     # Below a mean of about 1e-280 the quotient could overflow; the logs' difference cannot.
     out = x * math.log(x / m) if m > 1e-280 else x * (math.log(x) - math.log(m))
     return out - x + m
@@ -92,32 +127,27 @@ def _rounded_product(n: int, mu: float, complement: bool) -> tuple[float, float]
     return value, (n * num * vden - vnum * den) / (den * vden)
 
 
-def saddle_means(mu: float, n: int) -> tuple[float, float, float, float, float, float]:
-    """The rounded means n mu and n (1 - mu) of Loader's form, their rounding
-    errors, and the slope and offset of the affine correction for them.
-
-    To first order, bd0(x, m + e) = bd0(x, m) + e (1 - x/m), so at count k
-    the two deviances need -k slope + offset added to recover the exact means.
-    """
-    (mean, slip), (rest_mean, rest_slip) = _rounded_product(n, mu, False), _rounded_product(n, mu, True)
-    slope = slip / mean - rest_slip / rest_mean
-    offset = slip + rest_slip - n * rest_slip / rest_mean
-    return mean, slip, rest_mean, rest_slip, slope, offset
-
-
 class _Law:
-    """Bin(n, mu) for a checked mean, with its saddle-point constants."""
+    """Bin(n, mu) for a checked mean, with the constants of Loader's form:
+    the rounded means n mu and n (1 - mu) (`mean`, `rest_mean`), their
+    rounding errors (`slip`, `rest_slip`), and the slope and offset that,
+    with -stirlerr(n) in the offset, the form adds at count k as
+    offset - k slope. To first order, bd0(x, m + e) = bd0(x, m) + e (1 - x/m),
+    so that affine step recovers the exact means."""
 
     __slots__ = ("mu", "n", "mean", "slip", "rest_mean", "rest_slip", "slope", "offset")
 
     def __init__(self, mu: float, n: int):
         self.mu, self.n = mu, n
-        self.mean, self.slip, self.rest_mean, self.rest_slip, self.slope, self.offset = saddle_means(mu, n)
-        self.offset -= stirlerr(float(n))
+        (mean, slip), (rest_mean, rest_slip) = _rounded_product(n, mu, False), _rounded_product(n, mu, True)
+        self.mean, self.slip, self.rest_mean, self.rest_slip = mean, slip, rest_mean, rest_slip
+        self.slope = slip / mean - rest_slip / rest_mean
+        self.offset = slip + rest_slip - n * rest_slip / rest_mean - stirlerr(float(n))
 
     def log_pmf(self, k: int) -> float:
         """log P(k) for a count 0 <= k <= n, within a few units in the last
-        place of `shots.log_binomial_pmf` at the same count."""
+        place of `shots.log_binomial_pmf` at the same count, and equal to it
+        at k = 0 and k = n, whose closed forms it supplies there."""
         n, mu = self.n, self.mu
         if k == 0:
             return n * math.log1p(-mu)

@@ -50,6 +50,9 @@ except ImportError:  # an interpreter without the C accelerator
 GRID_AXES = ("n", "p", "c", "delta", "d", "mu")
 # The most points a sweep or figure grid may have; a larger grid exits 2 before any point is made.
 MAX_GRID_POINTS = 10**6
+# The most entries of any array an audit builds: its states' dim^2, its n + 1
+# outcomes, its trials. A larger size exits 2 before any state is built.
+MAX_AUDIT_ENTRIES = 2**20
 
 
 class RunConfig:
@@ -429,10 +432,13 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     privacy check on the binary outcome. Returns the serialized report and
     the exit code: 3 when an endpoint dominance check the preconditions
     entitle us to expect fails, otherwise 0. A NonConvexRegime flag removes
-    the entitlement, so those runs report without gating.
+    the entitlement, so those runs report without gating. Every parameter
+    is checked before any state is built: the dimension, shots and trials
+    against `MAX_AUDIT_ENTRIES`, and the trials against the Monte Carlo
+    audit's floor `audit.MIN_TRIALS`.
     """
     # The audit path alone needs numpy; the budget commands never load it.
-    from .audit import dominance_audit, exact_epsilon, min_expectation, monte_carlo_audit, qdp_check
+    from .audit import MIN_TRIALS, dominance_audit, exact_epsilon, min_expectation, monte_carlo_audit, qdp_check
     from .states import complement_projector, depolarizing_channel, identity_channel, neighbor_state, trace_distance
 
     params = cfg.params
@@ -443,7 +449,11 @@ def run_audit(cfg: RunConfig) -> tuple[str, int]:
     dim = check_count(setting("dim", 2), "dimension D")
     d = check_distance(setting("d", 0.1))
     n = check_count(setting("n", 10), "shots n")
-    trials = check_count(setting("trials", 100000), "trials")
+    trials = check_count(setting("trials", 100000), "trials", minimum=MIN_TRIALS)
+    for entries, what in ((dim * dim, "dim^2"), (n + 1, "n + 1"), (trials, "trials")):
+        if entries > MAX_AUDIT_ENTRIES:
+            raise BadConfigError(f"BadConfig: audit {what} = {entries} exceeds MAX_AUDIT_ENTRIES = "
+                                 f"{MAX_AUDIT_ENTRIES}, the most entries of any array an audit builds")
     seed = cfg.seed
     p = None if params.get("p") is None else check_noise(params["p"])
     rho = _parse_state(params.get("state"), dim, "state", default_diag=True)

@@ -14,25 +14,18 @@ import math
 
 import numpy as np
 
-from .binomial import STIRLERR_TABLE, saddle_means, stirlerr
+from .binomial import _TWO_PI, STIRLERR_TABLE, _Law, _near_deviance, _series_terms, _stirling_series
 from .errors import OutOfRangeError, check_count, check_mean
 
-_TWO_PI = 2.0 * math.pi
 _STIRLERR = np.array(STIRLERR_TABLE)
 
 
 def _stirlerr(k: np.ndarray) -> np.ndarray:
     """`binomial.stirlerr` on an array of counts k >= 0, bit for bit: the
-    table below 16, and above it the same series in the same order."""
+    table below 16, and above it the one `binomial._stirling_series`."""
     inv = np.maximum(k, 16.0)
     np.divide(1.0, inv, out=inv)
-    inv2 = inv * inv
-    err = inv2 * (1 / 1188)
-    for coef in (1 / 1680, 1 / 1260, 1 / 360):
-        np.subtract(coef, err, out=err)
-        err *= inv2
-    np.subtract(1 / 12, err, out=err)
-    err *= inv
+    err = _stirling_series(inv)
     small = k < 16
     err[small] = _STIRLERR[k[small].astype(np.intp)]
     return err
@@ -42,12 +35,9 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
     """Deviance x log(x/m) + m - x of counts x >= 1 from a positive mean m.
 
     Near m, for m 9/11 < x < m 11/9 (that is, |x - m| < (x + m)/10), the
-    direct form cancels, so there the deviance is the series
-
-        (x - m) v + 2x (v^3/3 + v^5/5 + ...),   v = (x - m)/(x + m),
-
-    summed in Horner form to the first power of v^2 below 2^-53 at the
-    largest |v| < 1/10.
+    direct form cancels, so there the deviance is `binomial._near_deviance`,
+    the series in v = (x - m)/(x + m), taken to the length that the largest
+    |v| < 1/10 among those counts needs.
     """
     # Below a mean of about 1e-280 the quotient could overflow; the logs' difference cannot.
     if m > 1e-280:
@@ -64,17 +54,7 @@ def _bd0(x: np.ndarray, m: float) -> np.ndarray:
         gap = xn - m
         v = gap / (xn + m)
         v2 = v * v
-        worst = float(v2.max())
-        terms = max(math.ceil(-53 * math.log(2.0) / math.log(worst)), 1) if worst > 0.0 else 1
-        tail = np.full(v2.shape, 1.0 / (2 * terms + 1))
-        for odd in range(2 * terms - 1, 1, -2):
-            tail *= v2
-            tail += 1.0 / odd
-        tail *= v2
-        tail *= 2.0 * xn
-        tail += gap
-        tail *= v
-        out[near] = tail
+        out[near] = _near_deviance(xn, gap, v, v2, _series_terms(float(v2.max())))
     return out
 
 
@@ -88,11 +68,14 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
         log P(k) = stirlerr(n) - stirlerr(k) - stirlerr(n-k)
                    - bd0(k, n mu) - bd0(n-k, n(1-mu)) - log(2 pi k (1-k/n)) / 2
 
-    with log P(0) = n log1p(-mu) and log P(n) = n log(mu). Every probability
-    above 1e-300 is within 1e-11 relative of a 40-digit reference, for n up
-    to 1e7 and mu in [1e-300, 1 - 1e-16]. Requires mu strictly inside
-    (0, 1); endpoint means are served by `binomial_distribution` as point
-    masses instead.
+    with log P(0) = n log1p(-mu) and log P(n) = n log(mu). The series are
+    the scalar pmf's own, from `binomial`, and `binomial._Law(mu, n)` gives
+    the rounded means, the correction for their rounding and the two end
+    counts' closed forms. Every probability above 1e-300 is within 1e-11
+    relative of a 40-digit reference, for n up to 1e7 and mu in
+    [1e-300, 1 - 1e-16]. Requires mu strictly inside (0, 1); endpoint means
+    are served by `binomial_distribution` as point masses instead. An empty
+    `counts` gives an empty array.
     """
     mu = check_mean(mu)
     n = check_count(n, "shots n")
@@ -100,13 +83,13 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
         k = np.arange(n + 1.0)
     else:
         k = np.asarray(counts)
-        if k.dtype.kind not in "iu" or (k.size and (k.min() < 0 or k.max() > n)):
+        # An empty selection is float64 by default in numpy, and holds no count to check.
+        if k.size and (k.dtype.kind not in "iu" or k.min() < 0 or k.max() > n):
             raise OutOfRangeError(f"OutOfRange: counts must be integers in 0..{n}")
         k = k.astype(float)
     rest = n - k
-    # The means n mu and n (1-mu) are rounded; to first order, bd0(x, m + e) =
-    # bd0(x, m) + e (1 - x/m), which is affine in k, so one step restores them.
-    mean, _, rest_mean, _, slope, offset = saddle_means(mu, n)
+    # The means n mu and n (1-mu) are rounded; the law's offset - k slope restores them.
+    law = _Law(mu, n)
     # -log P is accumulated smallest terms first: a constant added to the
     # large terms would round the same way at every count and bias the sum.
     # The form needs 0 < k < n; the two ends are set from their own closed forms below.
@@ -114,14 +97,14 @@ def log_binomial_pmf(mu: float, n: int, counts=None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _stirlerr(k)
         out += _stirlerr(rest)
-        out += offset - stirlerr(float(n))
-        out -= k * slope
-        out += _bd0(k, mean)
-        out += _bd0(rest, rest_mean)
+        out += law.offset
+        out -= k * law.slope
+        out += _bd0(k, law.mean)
+        out += _bd0(rest, law.rest_mean)
         out += 0.5 * np.log(_TWO_PI * k * (rest / n))
     np.negative(out, out=out)
-    out[k == 0] = n * math.log1p(-mu)
-    out[k == n] = n * math.log(mu)
+    out[k == 0] = law.log_pmf(0)
+    out[k == n] = law.log_pmf(n)
     return out
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdp import BadConfigError, monte_carlo_audit, states
+from shotdp import BadConfigError, cli, monte_carlo_audit, states
 from shotdp.cli import (
     _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_text, _fmt, _grid_values, _json_table, _json_text,
     _parse_grid, main, run_figures, run_sweep,
@@ -765,6 +765,36 @@ class TestAuditCommand:
         assert main(["audit", "--p", "0", "--trials", "1000"]) == 2
         want = "error: ZeroNoiseError: ZeroNoise: depolarizing probability 0 gives an unbounded constant\n"
         assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--n", "2000", "--trials", "1000"], "n + 1 = 2001"),
+        (["--trials", "2001"], "trials = 2001"),
+        (["--dim", "45", "--trials", "1000"], "dim^2 = 2025"),
+    ])
+    def test_oversized_audit_exits_two_before_any_state_is_built(self, flags, named, monkeypatch, capsys):
+        """The bound is patched down, so a missing check could allocate little."""
+        def no_state(entries):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(cli, "MAX_AUDIT_ENTRIES", 2000)
+        monkeypatch.setattr(states, "make_density", no_state)
+        assert main(["audit", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and named in err and "exceeds MAX_AUDIT_ENTRIES = 2000" in err
+
+    def test_audit_at_the_bound_runs(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_AUDIT_ENTRIES", 2000)
+        assert main(["audit", "--n", "1999", "--trials", "2000", "--dim", "44"]) in (0, 3)
+        assert json.loads(capsys.readouterr().out)["config"]["trials"] == 2000
+
+    def test_trials_floor_is_checked_before_any_state_is_built(self, monkeypatch, capsys):
+        """The Monte Carlo audit's floor, checked with the other parameters."""
+        def no_state(entries):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(states, "make_density", no_state)
+        assert main(["audit", "--trials", "999"]) == 2
+        assert capsys.readouterr() == ("", "error: OutOfRangeError: OutOfRange: trials must be an integer >= 1000, got 999\n")
 
     @pytest.mark.parametrize("flags, named", [
         (["--projector", "0,x"], "projector index"),

@@ -15,7 +15,7 @@ from shotdp import (
     log_likelihood_ratio,
     sample_means,
 )
-from shotdp.binomial import _Law, stirlerr
+from shotdp.binomial import _Law, _near_deviance, _stirling_series, stirlerr
 from shotdp.shots import _sample_counts, _sample_histogram, _stirlerr
 from conftest import exact_binomial_pmf
 
@@ -70,10 +70,38 @@ class TestBinomialDistribution:
         got = log_binomial_pmf(0.3, 100, counts)
         assert got.shape == counts.shape
         np.testing.assert_array_equal(got, log_binomial_pmf(0.3, 100)[counts])
+        # An empty selection is float64 to numpy, yet holds no bad count.
+        for empty in ([], np.array([], dtype=int), np.zeros((2, 0))):
+            got = log_binomial_pmf(0.3, 100, empty)
+            assert got.shape == np.shape(empty) and got.dtype == np.float64
 
     def test_scalar_stirlerr_is_the_array_form_bit_for_bit(self):
         counts = np.array([0.0, 1.0, 15.0, 16.0, 17.0, 123.0, 4567.0, 1e6, 3.7e15, 1e300])
         np.testing.assert_array_equal(_stirlerr(counts), [stirlerr(float(k)) for k in counts])
+
+    @given(st.lists(st.floats(16.0, 1e300), min_size=1, max_size=8))
+    @example([16.0, 17.0, 1e6, 3.7e15, 1e300])
+    def test_stirling_series_on_an_array_is_the_float_form_bit_for_bit(self, counts):
+        inv = 1.0 / np.array(counts)
+        before = inv.copy()
+        np.testing.assert_array_equal(_stirling_series(inv), [_stirling_series(float(i)) for i in inv])
+        np.testing.assert_array_equal(inv, before)
+
+    @given(st.floats(1.0, 1e15), st.lists(st.floats(-0.09, 0.09), min_size=1, max_size=8), st.integers(1, 20))
+    @example(1e6, [0.0, 1e-9, -0.05, 0.0999], 9)
+    def test_near_deviance_on_an_array_is_the_float_form_bit_for_bit(self, m, shares, terms):
+        """At one term count, the array series runs the float one's operations on each count."""
+        x = m * (1.0 + np.array(shares))
+        gap = x - m
+        v = gap / (x + m)
+        v2 = v * v
+        want = [_near_deviance(*map(float, args), terms) for args in zip(x, gap, v, v2)]
+        np.testing.assert_array_equal(_near_deviance(x, gap, v, v2, terms), want)
+
+    @pytest.mark.parametrize("mu, n", [(0.3, 1), (0.15, 10), (1e-300, 7), (1.0 - 2.0**-53, 40), (0.37, 10**5)])
+    def test_end_counts_are_the_scalar_laws(self, mu, n):
+        law = _Law(mu, n)
+        np.testing.assert_array_equal(log_binomial_pmf(mu, n, [0, n]), [law.log_pmf(0), law.log_pmf(n)])
 
     @given(st.floats(1e-300, 1.0 - 1e-16), st.integers(1, 10**7), st.lists(st.integers(0, 10**7), max_size=6))
     @example(0.3, 100, list(range(101)))
