@@ -15,21 +15,29 @@ and is named. The budget commands are a thin table over the kernels in
 checked bundle, and a sweep or figure checks two bundles, at the first and
 the last axis value, then maps the kernel over the axis. Each field admits
 one interval of values and the axis values rise, so the two bundles check
-every point. Every number is emitted with 10 significant digits through one
-format, `.10g`, so JSON and CSV encode identical values and reruns are
-byte-identical. A table (a sweep, a figure, compute's CSV row) stays a list
-of columns, the axis values and then each output, from the kernel to the
-text: `_csv_text` maps one row format over the columns, and `_json_table`
-texts each column once and lays out one object per row. A nested report
-(compute's JSON, the audit) takes `_json_text`. Both JSON writers write
-sorted keys and a two-space indent, the bytes the standard library's
-encoder would write, without its pure-Python indenting encoder, a rounded
-copy of the report, or the `json` package (which loads only to read
---config). A run of floats texts each distinct value once and keeps the
-`.10g` text where it is already final, so a zero-heavy outcome array costs
-one format per distinct value, not per entry. Exit codes, all returned by
-`main`: 0 success, 2 configuration or validation error (an unknown flag
-included), 3 audit dominance failure.
+every point.
+
+Every float is emitted with 10 significant digits through one format,
+`.10g`, and every int as its exact decimal text, so JSON and CSV encode
+identical values and reruns are byte-identical. A table (a sweep, a
+figure, compute's CSV row) is made and written in blocks of `_BLOCK`
+points, in grid order: `_sweep_blocks` maps the kernel over one block of
+axis values, `map(kernel, repeat(regime), *iterables)` with every fixed
+argument repeated, and hands on the block as columns; `_cells` texts each
+column in one pass (a column of one repeated value once); `_csv_rows` and
+`_json_rows` join the block's rows; and `_table_text` joins the block texts
+once, at the end. A point that fails raises before any text is emitted,
+and no more than one block of results and cell texts is held at a time. A
+nested report (compute's JSON, the audit) takes `_json_text`. Both JSON
+writers write sorted keys and a two-space indent, the bytes the standard
+library's encoder would write, without its pure-Python indenting encoder,
+a rounded copy of the report, or the `json` package (which loads only to
+read --config). A run of floats texts each distinct value once and keeps
+the `.10g` text where it is already final, so a zero-heavy outcome array
+costs one format per distinct value, not per entry.
+
+Exit codes, all returned by `main`: 0 success, 2 configuration or
+validation error (an unknown flag included), 3 audit dominance failure.
 """
 
 from __future__ import annotations
@@ -37,9 +45,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import filterfalse, repeat
+from itertools import filterfalse, groupby, repeat
+from operator import is_
 
-from .budget import _REQUIRED, BudgetInputs, PrivacyReport, _arguments, _evaluate, _pure, _tail
+from .budget import _REQUIRED, BudgetInputs, _arguments, _evaluate, _pure, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_index, check_noise
 
 try:
@@ -69,8 +78,8 @@ class RunConfig:
 
 
 # The `.10g` float format as text: JSON rounds every float through it, and
-# CSV rows print each number in the same format.
-_fmt = "{:.10g}".format
+# CSV prints each float in it.
+_fmt = "%.10g".__mod__
 # json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -116,18 +125,6 @@ _SCALAR_TEXT = {
 }
 
 
-def _texts(values, newline: str):
-    """The JSON text of each value at the indent that `newline` ends in. A run
-    of plain floats, or of plain ints, takes the fast path; any other mix (a
-    bool is not an int here) is written value by value."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return _float_texts(values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    return [_value_text(v, newline) for v in values]
-
-
 def _value_text(obj, newline: str) -> str:
     """One value as JSON text, nested containers indented by two spaces
     past `newline` (a newline and the current indent)."""
@@ -136,21 +133,16 @@ def _value_text(obj, newline: str) -> str:
         return write(obj)
     inner = newline + "  "
     if isinstance(obj, (list, tuple)):
-        return "[" + inner + ("," + inner).join(_texts(obj, inner)) + newline + "]" if obj else "[]"
+        return "[" + inner + ("," + inner).join(_cells(obj, inner)) + newline + "]" if obj else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         # Keys become strings first, so a later key wins a collision and int keys sort as text.
         named = dict(zip(map(str, obj), obj.values()))
         keys = sorted(named)
-        items = map("{}: {}".format, map(_quote, keys), _texts(list(map(named.__getitem__, keys)), inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
+        items = map("{}: {}".format, map(_quote, keys), _cells(list(map(named.__getitem__, keys)), inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+    for kind in (str, int, float):
+        if isinstance(obj, kind):
+            return _SCALAR_TEXT[kind](obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -163,27 +155,55 @@ def _json_text(obj) -> str:
     return _value_text(obj, "\n") + "\n"
 
 
-def _json_table(header: list[str], columns) -> str:
-    """A table as JSON text: one object per row, written as `_json_text`
-    writes the row dicts `dict(zip(header, row))`, so a repeated name keeps
-    its last column. Each column takes `_texts` once, and one format string
-    lays out every row."""
+def _cells(column, inner: str | None = None):
+    """The text of each cell of a column, in one pass that runs in C through
+    `map` where the column holds one type. Ints are exact decimals. In JSON,
+    at the indent that `inner` ends in, floats take `_float_texts` and any
+    other value `_value_text`; in CSV (`inner` None), floats take `_fmt`,
+    tuples of flags are joined by semicolons, and a column that mixes ints
+    and floats is written cell by cell. A column of one object repeated,
+    such as a kernel's constant 0.0 or (), is texted once; equal values need
+    not share a text (0.0 and -0.0 do not), so equality is not enough."""
+    kinds = set(map(type, column))
+    if kinds == {int}:
+        return map(str, column)
+    if inner is None and len(kinds) > 1:
+        return [str(x) if type(x) is int else _fmt(x) for x in column]
+    write = (lambda v: _value_text(v, inner)) if inner else ";".join if kinds == {tuple} else _fmt
+    if column and all(map(is_, column, repeat(column[0]))):
+        return repeat(write(column[0]), len(column))
+    return _float_texts(column) if inner and kinds == {float} else map(write, column)
+
+
+def _csv_rows(columns) -> str:
+    """One block of a CSV table: each column texted once by `_cells`, then
+    joined into rows; an overflowing `.10g` text is rewritten as
+    `_float_text` writes it."""
+    return "\n".join(map(",".join, zip(*map(_cells, columns)))).replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
+
+
+def _json_rows(header: list[str], columns) -> str:
+    """One block of a JSON table: the row dicts `dict(zip(header, row))`, so
+    a repeated name keeps its last column, laid out by one row template."""
     named = dict(zip(header, columns))
     keys = sorted(named)
     inner = "\n    "
     fields = ("," + inner).join(_quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    body = ",\n  ".join(map(("{{" + inner + fields + "\n  }}").format, *(_texts(named[k], inner) for k in keys)))
-    return "[\n  " + body + "\n]\n" if body else "[]\n"
+    return ",\n  ".join(map(("{{" + inner + fields + "\n  }}").format, *(_cells(named[k], inner) for k in keys)))
 
 
-def _csv_text(header: list[str], columns) -> str:
-    """CSV text for columns of numbers whose last column holds tuples of
-    warning flags. One row format prints each number as `_fmt` does, and one
-    pass over the text then rewrites an overflowing `.10g` text as
-    `_float_text` does."""
-    row_format = "{:.10g}," * (len(header) - 1) + "{}"
-    lines = [",".join(header), *map(row_format.format, *columns[:-1], map(";".join, columns[-1]))]
-    return ("\n".join(lines) + "\n").replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
+def _table_text(header: list[str], blocks, fmt: str) -> str:
+    """A table as CSV or JSON text, from its blocks of columns in row order.
+    Each block is texted before the next is drawn, and the block texts are
+    joined once, at the end; an empty block is skipped. The JSON is what
+    `_json_text` writes for the list of row dicts."""
+    parts = [",".join(header), "\n"] if fmt == "csv" else ["[\n  "]
+    for columns in blocks:
+        if len(columns[0]):
+            parts += (_csv_rows(columns), "\n") if fmt == "csv" else (_json_rows(header, columns), ",\n  ")
+    if fmt == "json":
+        parts[-1] = "\n]\n" if len(parts) > 1 else "[]\n"
+    return "".join(parts)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -199,10 +219,9 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise BadConfigError(f"BadConfig: grid must be start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(part) for part in parts)
+        return tuple(map(float, parts))
     except ValueError as exc:
         raise BadConfigError(f"BadConfig: grid values must be numeric, got {text!r}") from exc
-    return start, stop, step
 
 
 def _grid_values(start: float, stop: float, step: float, integer: bool) -> range | list:
@@ -233,8 +252,8 @@ def _grid_values(start: float, stop: float, step: float, integer: bool) -> range
             count -= 1
     if count > MAX_GRID_POINTS:
         raise BadConfigError(f"BadConfig: grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points")
-    # The points never decrease, as rounding is monotone, so a repeat follows its first.
-    return range(lo, hi + 1, inc) if integer else list(dict.fromkeys([start + i * step for i in range(count)]))
+    # The points never decrease, as rounding is monotone, so a repeat follows its first and groupby drops it.
+    return range(lo, hi + 1, inc) if integer else [v for v, _ in groupby(start + i * step for i in range(count))]
 
 
 def _inputs(params: dict) -> BudgetInputs:
@@ -252,12 +271,6 @@ def _select_budget(params: dict) -> tuple:
     return (_tail if tail else _pure), params.get("regime") or "noiseless"
 
 
-def _report_json(report: PrivacyReport) -> str:
-    inputs = {k: v for k, v in report.inputs._asdict().items() if v is not None}
-    payload = {"epsilon": report.epsilon, "delta": report.delta, "warnings": list(report.warnings), "inputs": inputs}
-    return _json_text(payload)
-
-
 def run_compute(cfg: RunConfig) -> str:
     """Evaluate one budget and serialize the report."""
     params = cfg.params
@@ -265,35 +278,40 @@ def run_compute(cfg: RunConfig) -> str:
     report = _evaluate(kernel, regime, _inputs(params), params.get("convention") or "paper")
     fmt = cfg.format or "json"
     if fmt == "json":
-        return _report_json(report)
+        inputs = {k: v for k, v in report.inputs._asdict().items() if v is not None}
+        return _json_text({**report._asdict(), "inputs": inputs})
     if fmt == "csv":
-        return _csv_text(["epsilon", "delta", "warnings"], [(report.epsilon,), (report.delta,), (report.warnings,)])
+        return _table_text(["epsilon", "delta", "warnings"], [[(value,) for value in report[:3]]], fmt)
     raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
 
 
 # A kernel's results, in order; sweeps and figures print some of them.
 _OUTPUTS = ("epsilon", "delta", "c", "warnings")
 _SWEEP_COLUMNS = ("epsilon", "delta", "warnings")
+# The axis values a sweep evaluates and texts at a time: enough that the
+# per-block set-up is noise, few enough that one block's results and cell
+# texts stay small beside the table's text.
+_BLOCK = 4096
 
 
-def _sweep_columns(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]) -> list:
-    """Evaluate one budget along an axis: the column of values, then the
-    `columns` of the kernel's results (two or more, "warnings" last).
+def _sweep_blocks(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]):
+    """Evaluate one budget along an axis, one block of `_BLOCK` values at a
+    time: each block yields its axis values, then the `columns` of the
+    kernel's results (two or more, "warnings" last).
 
     The values rise, as every grid's do, and each field admits one interval
     of values, so two bundles check them all: the fixed parameters with the
-    first value, then with the last. The kernel then maps over the values,
-    which the validators would return unchanged.
+    first value, then with the last. The kernel then maps over each block,
+    which the validators would return unchanged, with every other argument
+    repeated.
     """
-    args = _arguments(kernel, regime, _inputs({**params, axis: values[0]}), params.get("convention") or "paper")
+    first = _inputs({**params, axis: values[0]})
+    iterables = [*map(repeat, _arguments(kernel, regime, first, params.get("convention") or "paper"))]
     _inputs({**params, axis: values[-1]})
-    slot = BudgetInputs._fields.index(axis)
-    results = []
-    for v in values:
-        args[slot] = v
-        results.append(kernel(regime, *args))
-    outputs = tuple(zip(*results))
-    return [values, *(outputs[_OUTPUTS.index(name)] for name in columns)]
+    for start in range(0, len(values), _BLOCK):
+        iterables[BudgetInputs._fields.index(axis)] = block = values[start:start + _BLOCK]
+        outputs = tuple(zip(*map(kernel, repeat(regime), *iterables)))
+        yield [block, *(outputs[_OUTPUTS.index(name)] for name in columns)]
 
 
 def run_sweep(cfg: RunConfig) -> str:
@@ -310,9 +328,8 @@ def run_sweep(cfg: RunConfig) -> str:
         raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
     values = _grid_values(*cfg.grid, integer=axis == "n")
     kernel, regime = _select_budget({**cfg.params, axis: values[0]})
-    header = [axis, *_SWEEP_COLUMNS]
-    columns = _sweep_columns(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
-    return (_csv_text if fmt == "csv" else _json_table)(header, columns)
+    blocks = _sweep_blocks(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
+    return _table_text([axis, *_SWEEP_COLUMNS], blocks, fmt)
 
 
 _SHOT_AXIS = tuple(range(5, 101))
@@ -347,7 +364,7 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     if grid is not None:
         values = _grid_values(*grid, integer=axis == "n")
     params = {"d": 0.1, "r": 1, "mu": 0.15, **fixed}
-    text = _csv_text([axis, *columns], _sweep_columns(kernel, regime, params, axis, values, columns))
+    text = _table_text([axis, *columns], _sweep_blocks(kernel, regime, params, axis, values, columns), "csv")
     _emit(text, out)
     return text
 

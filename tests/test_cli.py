@@ -7,16 +7,20 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shotdp import BadConfigError, cli, monte_carlo_audit, states
+from shotdp import (
+    BadConfigError, BudgetInputs, DeltaOutOfRangeError, c_from_delta, cli, epsilon_delta_depolarizing,
+    epsilon_delta_noiseless, epsilon_depolarizing, epsilon_noiseless, monte_carlo_audit, states,
+)
 from shotdp.cli import (
-    _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _csv_text, _fmt, _grid_values, _json_table, _json_text,
-    _parse_grid, main, run_figures, run_sweep,
+    _BLOCK, _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _fmt, _grid_values, _json_text, _parse_grid,
+    _table_text, main, run_figures, run_sweep,
 )
 
 
@@ -367,6 +371,110 @@ class TestSweepAgreesWithCompute:
         assert rows_of(out)[1] == computed
 
 
+_BUDGETS = {
+    ("noiseless", False): epsilon_noiseless, ("depolarizing", False): epsilon_depolarizing,
+    ("noiseless", True): epsilon_delta_noiseless, ("depolarizing", True): epsilon_delta_depolarizing,
+}
+_TAIL_PARAMS = {"d": 0.01, "r": 1, "n": 10, "mu": 0.15}
+# axis, fixed parameters, the first and last axis values: every axis; a constant -0.0 epsilon column (d = -0
+# at mu < 1/2), and one that mixes 0.0 and -0.0 (d = -0 at n = 1, where the bracket turns negative past
+# mu = 2/3). The flags change mid-table on the c axis (DeltaUnderflow) and the mu axis (RegimeNegativeTerm).
+_NEGATIVE_ZERO_CASE = ("n", {"d": -0.0, "r": 1, "mu": 0.15}, None)
+_MIXED_ZEROS_CASE = ("mu", {"d": -0.0, "r": 1, "n": 1}, (0.05, 0.95))
+_BLOCK_CASES = [
+    ("n", {"d": 0.01, "r": 1, "mu": 0.15}, None),
+    _NEGATIVE_ZERO_CASE,
+    ("p", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "regime": "depolarizing", "D": 2}, (0.05, 0.95)),
+    ("c", _TAIL_PARAMS, (0.01, 5.0)),
+    ("delta", _TAIL_PARAMS, (1e-4, 0.28)),
+    ("d", {"r": 1, "n": 10, "mu": 0.15}, (0.0, 1.0)),
+    _MIXED_ZEROS_CASE,
+]
+
+
+def _block_grid(ends, points):
+    """A grid of exactly `points` values: 1..points on n, else from one end to the other."""
+    if ends is None:
+        return 1.0, float(points), 1.0
+    step = (ends[1] - ends[0]) / (points - 1)
+    return ends[0], ends[0] + (points - 1) * step, step
+
+
+def _reference_sweep(axis, fixed, values, fmt):
+    """A sweep written row by row, each point by the public budget function: in CSV each int
+    in exact decimal, each float as `_fmt` prints it, and the flags joined by semicolons; in
+    JSON the standard library's encoder on the row dicts, the kernel's delta last."""
+    regime = fixed.get("regime", "noiseless")
+    budget = _BUDGETS[regime, axis in ("c", "delta") or "c" in fixed or "delta" in fixed]
+    fields = {k: v for k, v in fixed.items() if k != "regime"}
+    rows = []
+    for v in values:
+        report = budget(BudgetInputs(**fields, **{axis: v}))
+        rows.append((v, report.epsilon, report.delta, report.warnings))
+    if fmt == "json":
+        return reference_json_text([{axis: v, "epsilon": eps, "delta": delta, "warnings": flags}
+                                    for v, eps, delta, flags in rows])
+    lines = [",".join((axis, "epsilon", "delta", "warnings"))]
+    lines += [f"{_csv_cell(v)},{_fmt(eps)},{_fmt(delta)},{';'.join(flags)}" for v, eps, delta, flags in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestSweepBlocks:
+    """A sweep maps its kernel and texts its table one block of `_BLOCK` points at a time; the
+    text is the one a per-row writer gives, and a failing point in any block writes nothing."""
+
+    @pytest.mark.parametrize("points", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("axis, fixed, ends", _BLOCK_CASES)
+    def test_sweep_equals_the_per_row_writer(self, axis, fixed, ends, points):
+        grid = _block_grid(ends, points)
+        values = _grid_values(*grid, integer=axis == "n")
+        assert len(values) == points
+        for fmt in ("csv", "json"):
+            cfg = RunConfig("sweep", params={**fixed, "axis": axis}, grid=grid, format=fmt)
+            # Compared as lines, so that a failure reports the first differing line, not a diff of the whole text.
+            assert run_sweep(cfg).split("\n") == _reference_sweep(axis, fixed, values, fmt).split("\n")
+
+    def test_zero_columns_keep_their_signs(self):
+        """The reference itself sees both zero signs in the cases that claim them."""
+        for (axis, fixed, ends), signs in ((_NEGATIVE_ZERO_CASE, {"-0"}), (_MIXED_ZEROS_CASE, {"0", "-0"})):
+            text = _reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, _BLOCK + 1), axis == "n"), "csv")
+            assert {row[1] for row in rows_of(text)[1]} == signs
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_failure_in_a_later_block_writes_nothing(self, fmt, tmp_path, capsys):
+        """A delta grid that first passes its supremum, about 0.283 at n = 10 and mu = 0.15, inside
+        the second block: the error names that point, and neither stdout nor --out gets any text."""
+        step = 6e-5
+        values = _grid_values(step, 3 * _BLOCK * step, step, integer=False)
+        first = next(i for i, v in enumerate(values) if v >= math.sqrt(2 * math.pi * 0.15 * 0.85 / 10))
+        assert _BLOCK < first < 2 * _BLOCK
+        with pytest.raises(DeltaOutOfRangeError):
+            c_from_delta(values[first], 0.15, 10)
+        assert c_from_delta(values[first - 1], 0.15, 10) > 0.0
+        out = tmp_path / f"sweep.{fmt}"
+        grid = f"{step!r}:{values[-1]!r}:{step!r}"
+        flags = ["--d", "0.01", "--r", "1", "--n", "10", "--mu", "0.15", "--format", fmt]
+        assert main(["sweep", "--axis", "delta", "--grid", grid, *flags]) == 2
+        assert main(["sweep", "--axis", "delta", "--grid", grid, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.count(f"error: DeltaOutOfRangeError: DeltaOutOfRange: delta={values[first]} ") == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_traced_peak_is_at_most_three_times_the_text(self, fmt):
+        """A 1e5-point sweep holds one block of kernel results and cell texts at a time, so its
+        traced peak stays within three times the text it returns."""
+        cfg = RunConfig("sweep", params={"axis": "n", "d": 0.01, "r": 1, "mu": 0.15}, grid=(1.0, 1e5, 1.0), format=fmt)
+        tracemalloc.start()
+        try:
+            text = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == (1e5 + 1 if fmt == "csv" else 6e5 + 2)
+        assert peak <= 3 * len(text)
+
+
 class TestStrictKeys:
     """Each command accepts only its own keys, as flags and in config files."""
 
@@ -443,13 +551,19 @@ def test_count_beyond_the_largest_double_exits_two(flag, named, capsys):
     assert captured.out == "" and f"OutOfRange: {named} exceeds the largest double" in captured.err
 
 
+def _csv_cell(x) -> str:
+    """A CSV number: an int as exact decimal text, a float as `_fmt` prints it."""
+    return str(x) if isinstance(x, int) else _fmt(x)
+
+
 def test_csv_rows_print_every_number_as_fmt():
-    """The one row format matches `_fmt` cell by cell, integer axes included, from columns."""
+    """Floats print as `_fmt` does and ints as exact decimals, cell by cell, in a column that mixes them too."""
     cells = [5, 2**60 + 1, 12345678901, 0.1, 1e-300, 5e-324, 2.0 / 3.0, -0.0, float("inf"), float("-inf"), float("nan")]
     flag_sets = [(), ("Divergent", "RegimeInvalid")]
     rows = [(x, x / 3 if isinstance(x, int) else x, flag_sets[i % 2]) for i, x in enumerate(cells)]
-    expected = ["n,epsilon,warnings", *(f"{_fmt(a)},{_fmt(b)},{';'.join(flags)}" for a, b, flags in rows)]
-    assert _csv_text(["n", "epsilon", "warnings"], list(zip(*rows))) == "\n".join(expected) + "\n"
+    expected = ["n,epsilon,warnings", *(f"{_csv_cell(a)},{_fmt(b)},{';'.join(flags)}" for a, b, flags in rows)]
+    assert expected[2:4] == ["1152921504606846977,3.843071682e+17,Divergent;RegimeInvalid", "12345678901,4115226300,"]
+    assert _table_text(["n", "epsilon", "warnings"], [list(zip(*rows))], "csv") == "\n".join(expected) + "\n"
 
 
 def _jsonify(obj):
@@ -515,7 +629,7 @@ def test_overflowing_10g_text_prints_the_largest_double_rounded_down(x):
     text = "-1.797693134e+308" if x < 0 else "1.797693134e+308"
     assert _json_text(x) == f"{text}\n"
     assert _json_text({"a": [x, x]}) == f'{{\n  "a": [\n    {text},\n    {text}\n  ]\n}}\n'
-    assert _csv_text(["x", "w"], [(x,), ((),)]) == f"x,w\n{text},\n"
+    assert _table_text(["x", "w"], [[(x,), ((),)]], "csv") == f"x,w\n{text},\n"
     assert float(text) == pytest.approx(x, rel=5e-10)
 
 
@@ -539,8 +653,13 @@ def _column_tables(draw, kinds, last_kinds):
     return header, columns
 
 
+def _row_blocks(columns):
+    """The table in blocks of one row each, which the writers must join to the text of one block."""
+    return [[column[i:i + 1] for column in columns] for i in range(len(columns[0]))]
+
+
 class TestTableWriters:
-    """`_json_table` and `_csv_text` write a table handed over as columns."""
+    """`_table_text` writes a table handed over as blocks of columns, whole or a row at a time."""
 
     @settings(max_examples=150)
     @given(_column_tables((_ints, _floats, _flag_tuples), (_ints, _floats, _flag_tuples)))
@@ -552,7 +671,9 @@ class TestTableWriters:
     def test_json_table_writes_the_row_dicts(self, table):
         """The JSON of the row dicts `dict(zip(header, row))`, so a repeated name keeps its last column."""
         header, columns = table
-        assert _json_table(header, columns) == reference_json_text([dict(zip(header, row)) for row in zip(*columns)])
+        expected = reference_json_text([dict(zip(header, row)) for row in zip(*columns)])
+        assert _table_text(header, [columns], "json") == expected
+        assert _table_text(header, _row_blocks(columns), "json") == expected
 
     @settings(max_examples=150)
     @given(_column_tables((_ints, _floats), (_flag_tuples,)))
@@ -561,17 +682,19 @@ class TestTableWriters:
               ([1e-3], [math.nan], [1e-3], [("DeltaExceedsOne", "Divergent")])))
     @example((["warnings"], [[(), ("Divergent",)]]))
     def test_csv_text_writes_each_row_in_fmt(self, table):
-        """Row by row, `_fmt` of each number, where a finite number whose text rounds to inf
-        prints as the largest double rounded down, then the flags joined by semicolons."""
+        """Row by row, each int in exact decimal and each float as `_fmt` prints it, where a finite
+        float whose text rounds to inf prints as the largest double rounded down, then the flags
+        joined by semicolons."""
         header, columns = table
 
         def cell(x):
-            text = _fmt(x)
+            text = _csv_cell(x)
             return _fmt(math.copysign(1.797693134e308, x)) if math.isinf(float(text)) and math.isfinite(x) else text
 
         rows = zip(*columns)
-        expected = [",".join(header), *(",".join([*map(cell, row[:-1]), ";".join(row[-1])]) for row in rows)]
-        assert _csv_text(header, columns) == "\n".join(expected) + "\n"
+        expected = "\n".join([",".join(header), *(",".join([*map(cell, row[:-1]), ";".join(row[-1])]) for row in rows)])
+        assert _table_text(header, [columns], "csv") == expected + "\n"
+        assert _table_text(header, _row_blocks(columns), "csv") == expected + "\n"
 
 
 class TestJsonText:

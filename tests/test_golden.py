@@ -29,6 +29,14 @@ _COMPUTE = {
 _SWEEP = {
     "n": ["--axis", "n", "--grid", "1:200:1", "--d", "0.01", "--r", "1", "--mu", "0.15"],
     "delta": ["--axis", "delta", "--grid", "0.0001:0.05:0.001", *_TAIL_POINT],
+    "n_depolarizing": ["--axis", "n", "--grid", "1:200:1", "--d", "0.01", "--r", "1", "--mu", "0.15",
+                       *_NOISE],
+    "p": ["--axis", "p", "--grid", "0.05:1:0.05", *_POINT, "--regime", "depolarizing", "--D", "2"],
+    # Past about 38 sigma the tail underflows, so the flags change mid-table.
+    "c": ["--axis", "c", "--grid", "0.05:5:0.05", *_TAIL_POINT],
+    # Crosses mu = 0.5, where the RegimeNegativeTerm flag starts.
+    "mu": ["--axis", "mu", "--grid", "0.05:0.95:0.05", "--d", "0.1", "--r", "1", "--n", "10"],
+    "d": ["--axis", "d", "--grid", "0:1:0.05", "--r", "1", "--n", "10", "--mu", "0.15"],
 }
 
 CASES = {f"figures_{which}.csv": ["figures", "--which", which] for which in ("fig3", "fig4a", "fig4b", "fig5a", "fig5b")}
