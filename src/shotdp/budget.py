@@ -10,7 +10,10 @@ Four budgets are provided, indexed by noise regime and accounting style:
 Each accounting style is one scalar kernel on checked numbers: `_pure` and
 `_tail` take the regime, the fields d, r, n, mu, p, D, c, delta and the
 convention, and return (epsilon, delta, c, flags), with flags `()` when
-none applies. Each field has one validator in `errors`, and
+none applies. The pure budget is written once, in `_pure_at`, which takes
+its scale and quadratic coefficients and n; neither coefficient depends on
+n, and `_pure` computes them (`_pure_coefficients`) and then calls
+`_pure_at`. Each field has one validator in `errors`, and
 `BudgetInputs` is the one place that checks a bundle's fields with them,
 in field order, when it is built. Each field admits one interval of
 values, so a CLI sweep, whose grid points rise, checks its whole axis as
@@ -18,8 +21,10 @@ two bundles, at its first and last point, and calls no validator per
 point. The public functions take a checked bundle, add the checks that
 depend on the budget (`_arguments`), call a kernel on the bundle's values
 and return a `PrivacyReport` with warning flags for regimes where a
-formula is outside its comfort zone; `shots_for_budget` calls the pure
-kernel per candidate shot count, and sweeps map a kernel over their axis.
+formula is outside its comfort zone; `shots_for_budget` computes the
+coefficients once and calls `_pure_at` per candidate shot count, and
+sweeps map a kernel over their axis (a pure n-sweep maps `_pure_at`, with
+the coefficients computed once per sweep).
 Both records are standard-library named tuples. `mu` is always the smaller of the two
 outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
@@ -223,17 +228,23 @@ def _pure_coefficients(regime: str, d: float, r: int, mu: float, p, dim) -> tupl
     return a / (1.0 - mu), a * mu * mu * (1.0 + a)
 
 
-def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tuple:
-    """Pure budget kernel: scale [ (9/2)(1-2mu) + (3/2) sqrt(n) + quadratic n / (1-mu) ].
-
-    Takes the same arguments as `_tail`, so that a caller can hold either;
-    delta and paper are unused and c passes through.
-    """
-    scale, quadratic = _pure_coefficients(regime, d, r, mu, p, D)
+def _pure_at(scale: float, quadratic: float, mu: float, n: int, c=None) -> tuple:
+    """The pure budget at n from its coefficients: scale [ (9/2)(1-2mu) +
+    (3/2) sqrt(n) + quadratic n / (1-mu) ], flagged RegimeNegativeTerm for
+    mu > 1/2; c passes through."""
     eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(n) + quadratic * n / (1.0 - mu))
     flags = ("RegimeNegativeTerm",) if mu > 0.5 else ()
     # Divergent marks any epsilon a caller must not trust as a budget.
     return eps, 0.0, c, flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
+
+
+def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tuple:
+    """Pure budget kernel: `_pure_coefficients`, then `_pure_at` at n.
+
+    Takes the same arguments as `_tail`, so that a caller can hold either;
+    delta and paper are unused and c passes through.
+    """
+    return _pure_at(*_pure_coefficients(regime, d, r, mu, p, D), mu, n, c)
 
 
 def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
@@ -375,7 +386,7 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
         raise BadConfigError("BadConfig: epsilon is identically zero, every shot count fits the budget")
 
     def evaluate(n: int) -> float:
-        return _pure(regime, d, r, n, mu, p, dim)[0]
+        return _pure_at(scale, quadratic, mu, n)[0]
 
     if evaluate(1) > target_epsilon:
         raise UnattainableError(f"Unattainable: epsilon({1}) = {evaluate(1):.6g} already exceeds {target_epsilon}")

@@ -22,14 +22,18 @@ Every float is emitted with 10 significant digits through one format,
 identical values and reruns are byte-identical. A table (a sweep, a
 figure, compute's CSV row) is made and written in blocks of `_BLOCK`
 points, in grid order: `_sweep_blocks` maps the kernel over one block of
-axis values, `map(kernel, repeat(regime), *iterables)` with every fixed
-argument repeated, and hands on the block as columns; `_cells` texts each
-column in one pass (a column of one repeated value once); `_csv_rows` and
-`_json_rows` join the block's rows; and `_table_text` joins the block texts
-once, at the end. A point that fails raises before any text is emitted,
-and no more than one block of results and cell texts is held at a time. A
-nested report (compute's JSON, the audit) takes `_json_text`. Both JSON
-writers write sorted keys and a two-space indent, the bytes the standard
+axis values, `map(kernel, *iterables)` with the regime and every fixed
+argument repeated (a pure n-sweep maps `budget._pure_at` over n, with its
+coefficients computed once per sweep), and hands on the block as columns;
+`_csv_rows` writes the block through one row template, `%d` for an int
+column, `%.10g` for a float column and a column of one repeated value
+baked in as its text; `_json_rows` lays out the block's rows from the
+texts `_cells` makes in one pass per column (a column of one repeated
+value once); and `_table_text` joins the block texts once, at the end. A
+point that fails raises before any text is emitted, and no more than one
+block of results and cell texts is held at a time. A nested report
+(compute's JSON, the audit) takes `_json_text`. Both JSON writers write
+sorted keys and a two-space indent, the bytes the standard
 library's encoder would write, without its pure-Python indenting encoder,
 a rounded copy of the report, or the `json` package (which loads only to
 read --config). A run of floats texts each distinct value once and keeps
@@ -45,10 +49,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import filterfalse, groupby, repeat
+from itertools import chain, filterfalse, groupby, repeat
 from operator import is_
 
-from .budget import _REQUIRED, BudgetInputs, _arguments, _evaluate, _pure, _tail
+from .budget import _REQUIRED, BudgetInputs, _arguments, _evaluate, _pure, _pure_at, _pure_coefficients, _tail
 from .errors import BadConfigError, ShotDPError, check_count, check_distance, check_index, check_noise
 
 try:
@@ -176,10 +180,28 @@ def _cells(column, inner: str | None = None):
 
 
 def _csv_rows(columns) -> str:
-    """One block of a CSV table: each column texted once by `_cells`, then
-    joined into rows; an overflowing `.10g` text is rewritten as
+    """One block of a CSV table, each row ending in a newline, written by one
+    row template: `%d` for a column of ints and `%.10g`, `_fmt`'s conversion,
+    for a column of floats; a column of one object repeated is baked in as
+    its `_cells` text, with `%` doubled, and any other column takes `%s`
+    over its `_cells` texts. An overflowing `.10g` text is then rewritten as
     `_float_text` writes it."""
-    return "\n".join(map(",".join, zip(*map(_cells, columns)))).replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
+    fields, args = [], []
+    for column in columns:
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            fields.append("%d")
+            args.append(column)
+        elif all(map(is_, column, repeat(column[0]))):
+            fields.append(next(_cells(column[:1])).replace("%", "%%"))
+        elif kinds == {float}:
+            fields.append("%.10g")
+            args.append(column)
+        else:
+            fields.append("%s")
+            args.append(_cells(column))
+    text = (",".join(fields) + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))
+    return text.replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
 
 
 def _json_rows(header: list[str], columns) -> str:
@@ -200,7 +222,7 @@ def _table_text(header: list[str], blocks, fmt: str) -> str:
     parts = [",".join(header), "\n"] if fmt == "csv" else ["[\n  "]
     for columns in blocks:
         if len(columns[0]):
-            parts += (_csv_rows(columns), "\n") if fmt == "csv" else (_json_rows(header, columns), ",\n  ")
+            parts += (_csv_rows(columns),) if fmt == "csv" else (_json_rows(header, columns), ",\n  ")
     if fmt == "json":
         parts[-1] = "\n]\n" if len(parts) > 1 else "[]\n"
     return "".join(parts)
@@ -303,14 +325,21 @@ def _sweep_blocks(kernel, regime: str, params: dict, axis: str, values, columns:
     of values, so two bundles check them all: the fixed parameters with the
     first value, then with the last. The kernel then maps over each block,
     which the validators would return unchanged, with every other argument
-    repeated.
+    repeated. A pure n-sweep maps `_pure_at` instead, with the coefficients,
+    which do not depend on n, computed once from the first bundle.
     """
     first = _inputs({**params, axis: values[0]})
-    iterables = [*map(repeat, _arguments(kernel, regime, first, params.get("convention") or "paper"))]
+    arguments = _arguments(kernel, regime, first, params.get("convention") or "paper")
     _inputs({**params, axis: values[-1]})
+    iterables = [*map(repeat, (regime, *arguments))]
+    slot = 1 + BudgetInputs._fields.index(axis)
+    if kernel is _pure and axis == "n":
+        d, r, _, mu, p, D, c = arguments[:7]
+        kernel, slot = _pure_at, 3
+        iterables = [*map(repeat, (*_pure_coefficients(regime, d, r, mu, p, D), mu)), None, repeat(c)]
     for start in range(0, len(values), _BLOCK):
-        iterables[BudgetInputs._fields.index(axis)] = block = values[start:start + _BLOCK]
-        outputs = tuple(zip(*map(kernel, repeat(regime), *iterables)))
+        iterables[slot] = block = values[start:start + _BLOCK]
+        outputs = tuple(zip(*map(kernel, *iterables)))
         yield [block, *(outputs[_OUTPUTS.index(name)] for name in columns)]
 
 

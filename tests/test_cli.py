@@ -378,12 +378,17 @@ _BUDGETS = {
 _TAIL_PARAMS = {"d": 0.01, "r": 1, "n": 10, "mu": 0.15}
 # axis, fixed parameters, the first and last axis values: every axis; a constant -0.0 epsilon column (d = -0
 # at mu < 1/2), and one that mixes 0.0 and -0.0 (d = -0 at n = 1, where the bracket turns negative past
-# mu = 2/3). The flags change mid-table on the c axis (DeltaUnderflow) and the mu axis (RegimeNegativeTerm).
+# mu = 2/3). The flags change mid-table on the c axis (DeltaUnderflow), the mu axis (RegimeNegativeTerm) and
+# the n axis at mu = 0.95, where epsilon is negative, so Divergent, up to n = 6. The pure n-sweeps take the
+# coefficients once per sweep, in either regime.
 _NEGATIVE_ZERO_CASE = ("n", {"d": -0.0, "r": 1, "mu": 0.15}, None)
 _MIXED_ZEROS_CASE = ("mu", {"d": -0.0, "r": 1, "n": 1}, (0.05, 0.95))
+_NEGATIVE_EPSILON_CASE = ("n", {"d": 1e-3, "r": 1, "mu": 0.95}, None)
 _BLOCK_CASES = [
     ("n", {"d": 0.01, "r": 1, "mu": 0.15}, None),
     _NEGATIVE_ZERO_CASE,
+    ("n", {"d": 0.1, "r": 1, "mu": 0.15, "regime": "depolarizing", "p": 0.5, "D": 2}, None),
+    _NEGATIVE_EPSILON_CASE,
     ("p", {"d": 0.1, "r": 1, "n": 10, "mu": 0.15, "regime": "depolarizing", "D": 2}, (0.05, 0.95)),
     ("c", _TAIL_PARAMS, (0.01, 5.0)),
     ("delta", _TAIL_PARAMS, (1e-4, 0.28)),
@@ -439,6 +444,13 @@ class TestSweepBlocks:
         for (axis, fixed, ends), signs in ((_NEGATIVE_ZERO_CASE, {"-0"}), (_MIXED_ZEROS_CASE, {"0", "-0"})):
             text = _reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, _BLOCK + 1), axis == "n"), "csv")
             assert {row[1] for row in rows_of(text)[1]} == signs
+
+    def test_flags_change_inside_the_n_grid(self):
+        """The reference itself flags the first six shot counts Divergent at mu = 0.95, and no later one."""
+        axis, fixed, ends = _NEGATIVE_EPSILON_CASE
+        rows = rows_of(_reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, _BLOCK + 1), True), "csv"))[1]
+        assert [row[3] for row in rows[:7]] == ["RegimeNegativeTerm;Divergent"] * 6 + ["RegimeNegativeTerm"]
+        assert {row[3] for row in rows[6:]} == {"RegimeNegativeTerm"}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_failure_in_a_later_block_writes_nothing(self, fmt, tmp_path, capsys):
@@ -564,6 +576,9 @@ def test_csv_rows_print_every_number_as_fmt():
     expected = ["n,epsilon,warnings", *(f"{_csv_cell(a)},{_fmt(b)},{';'.join(flags)}" for a, b, flags in rows)]
     assert expected[2:4] == ["1152921504606846977,3.843071682e+17,Divergent;RegimeInvalid", "12345678901,4115226300,"]
     assert _table_text(["n", "epsilon", "warnings"], [list(zip(*rows))], "csv") == "\n".join(expected) + "\n"
+    # Ints, then integral floats, which `%d` would print as 1152921504606846976, 0 and 10000000000.
+    mixed = [3, 2**53 + 1, 2.0**60, -0.0, 1e10, -7]
+    assert _table_text(["x"], [[mixed]], "csv") == "x\n3\n9007199254740993\n1.152921505e+18\n-0\n1e+10\n-7\n"
 
 
 def _jsonify(obj):
@@ -653,6 +668,10 @@ def _column_tables(draw, kinds, last_kinds):
     return header, columns
 
 
+# Flag text that a `%`-format template would read as conversions, were it not escaped.
+_PERCENT_FLAGS = ("50%", "%d", "%s%%")
+
+
 def _row_blocks(columns):
     """The table in blocks of one row each, which the writers must join to the text of one block."""
     return [[column[i:i + 1] for column in columns] for i in range(len(columns[0]))]
@@ -681,6 +700,11 @@ class TestTableWriters:
     @example((["delta", "epsilon", "delta", "warnings"],
               ([1e-3], [math.nan], [1e-3], [("DeltaExceedsOne", "Divergent")])))
     @example((["warnings"], [[(), ("Divergent",)]]))
+    # A `%` in flag text, repeated (one object, baked into the row template) and varying.
+    @example((["x", "warnings"], ([1.0, 2.0, 3.0], [_PERCENT_FLAGS] * 3)))
+    @example((["x", "warnings"], ([1.0, 2.0, 3.0], [_PERCENT_FLAGS, ("%",), ("100%", "%%")])))
+    # A range of ints, and a float column of one nan or one -0.0 repeated.
+    @example((["n", "epsilon", "delta", "warnings"], (range(5, 8), [math.nan] * 3, [-0.0] * 3, [()] * 3)))
     def test_csv_text_writes_each_row_in_fmt(self, table):
         """Row by row, each int in exact decimal and each float as `_fmt` prints it, where a finite
         float whose text rounds to inf prints as the largest double rounded down, then the flags
