@@ -11,17 +11,19 @@ direct sum; the brute-force versions live in the tests as references.
 
 Modules:
     states    density matrices, projectors, channels, trace distance
-    shots     the binomial outcome law, likelihood ratios, sampling
-    binomial  the exact epsilon and hockey-stick delta, one count at a time
+    shots     the binomial outcome law as arrays, sampling
+    binomial  the exact epsilon and hockey-stick delta, one count at a time,
+              the surrogate log-likelihood ratio and dominance audits
     budget    closed-form privacy budgets and tail-cutoff conversions
-    audit     dominance audits, Monte Carlo confirmation, and the exact
-              oracles of `binomial` under their public names
+    audit     the privacy check on measured states, Monte Carlo
+              confirmation, and the names of `binomial` it builds on
     cli       compute / sweep / figures / audit commands
 
 `budget` and `errors` import only the standard library and load with the
-package. `binomial` imports only the standard library too, and loads on
-first use of one of its names; `states`, `shots` and `audit` use numpy and
-load on first use of one of theirs.
+package. `binomial` imports only the standard library and `budget`, and
+loads on first use of one of its names, so the exact oracles and the
+dominance audit run without numpy; `states`, `shots` and `audit` use numpy
+and load on first use of one of theirs.
 """
 
 from importlib import import_module
@@ -64,13 +66,9 @@ from .errors import (
 _LAZY = {
     name: module
     for module, names in {
-        "audit": (
-            "AuditReport", "MinExpectation", "dominance_audit", "min_expectation", "monte_carlo_audit", "qdp_check",
-        ),
-        "binomial": ("exact_epsilon", "hockey_stick_delta"),
-        "shots": (
-            "binomial_distribution", "log_binomial_pmf", "log_likelihood_ratio", "sample_means",
-        ),
+        "audit": ("MinExpectation", "min_expectation", "monte_carlo_audit", "qdp_check"),
+        "binomial": ("AuditReport", "dominance_audit", "exact_epsilon", "hockey_stick_delta", "log_likelihood_ratio"),
+        "shots": ("binomial_distribution", "log_binomial_pmf", "sample_means"),
         "states": (
             "Channel", "DensityMatrix", "Projector", "apply_channel", "basis_columns", "basis_state",
             "complement_projector", "depolarizing_channel", "expectation", "identity_channel", "make_density",

@@ -1,22 +1,18 @@
-"""Independent oracles that test the closed-form budgets against the truth.
+"""Audits on measured states and sampled counts, the checks that need numpy.
 
 The budgets in `budget` are derived on a Gaussian surrogate; the mechanism
-they describe is an n-shot binomial. What that mechanism actually leaks,
-`exact_epsilon` and `hockey_stick_delta`, comes from `binomial` and is
-public here too. This module checks the defining privacy inequality on
-measured states by its hockey-stick sum (`qdp_check`), compares the closed
-forms against their own endpoint approximation (`dominance_audit`), and
-confirms the exact oracles empirically (`monte_carlo_audit`). Reports carry
-slack as data; nothing here assumes the budgets are tight.
-
-For two binomial laws over the same n the per-count log ratio is affine in
-the count (the binomial coefficients cancel), so its extremes sit at the
-ends of any run of counts: `exact_epsilon` and the dominance audit's window
-maxima are closed forms, and the exact delta at the budget is two binomial
-tails past a short direct sum, in O(1) memory for any n. Every oracle
-checks its inputs once and shares one slope pair, from `_slopes`, with the
-kernels `_log_ratio` and `_hockey_stick`. Brute-force maxima over all
-n + 1 outcomes are kept in the tests as references.
+they describe is an n-shot binomial. The scalar checks of that mechanism
+import only the standard library and live in `binomial`: what it actually
+leaks (`exact_epsilon`, `hockey_stick_delta`) and the comparison of the
+closed forms against their own endpoint approximation (`dominance_audit`,
+which returns an `AuditReport`). They are public here too. This module
+holds the checks built on states and arrays: the defining privacy
+inequality on measured states by its hockey-stick sum (`qdp_check`), the
+budget formulas' mu from a measured pair (`min_expectation`), and seeded
+sampling that confirms the exact oracles empirically
+(`monte_carlo_audit`), which shares the slope pair `_slopes` and the
+kernel `_log_ratio` with them. Reports carry slack as data; nothing here
+assumes the budgets are tight.
 """
 
 from __future__ import annotations
@@ -27,55 +23,23 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .budget import (
-    BudgetInputs,
-    _sigma,
-    epsilon_depolarizing,
-    epsilon_noiseless,
-    expectation_ratio_bound,
+# The exact oracles and the dominance audit live in `binomial` and are this module's public names too.
+from .binomial import (
+    _EQ_SLACK,
+    AuditReport,
+    _exact_level,
+    _log_ratio,
+    _slopes,
+    dominance_audit,
+    exact_epsilon,
+    hockey_stick_delta,
 )
-# The exact oracles live in `binomial` and are this module's public names too.
-from .binomial import _exact_level, _hockey_stick, _last_holding, _log_ratio, _slopes, exact_epsilon, hockey_stick_delta
-from .errors import (
-    BadConfigError,
-    DimMismatchError,
-    IncompletePVMError,
-    PreconditionViolatedError,
-    check_count,
-    check_distance,
-    check_mean,
-    check_nonnegative,
-)
-from .shots import _sample_histogram, binomial_distribution, log_likelihood_ratio
+from .errors import DimMismatchError, IncompletePVMError, check_count, check_mean, check_nonnegative
+from .shots import _sample_histogram, binomial_distribution
 from .states import Channel, DensityMatrix, Projector, apply_channel, expectation
 
-# Float slack for comparisons that are exact in real arithmetic.
-_EQ_SLACK = 1e-12
 # The fewest trials a Monte Carlo audit draws per mechanism.
 MIN_TRIALS = 1000
-
-
-class AuditReport(NamedTuple):
-    """Outcome of one audit: oracle values, verdicts, and the numbers behind them.
-
-    `dominated` maps check names to booleans; `excluded_outcomes` lists the
-    outcome indices the audit left out of its comparisons (boundary counts
-    for the endpoint audit, zero-count bins for the Monte Carlo audit);
-    `details` carries the per-check numbers so slack can be inspected. The
-    Monte Carlo audit compares no closed form and draws no verdict: its
-    `theorem_epsilon` is None, `dominated` is empty, and its level is the
-    exact epsilon, where `exact_delta_at_eps` is 0.0.
-    """
-
-    exact_epsilon: float
-    exact_delta_at_eps: float
-    theorem_epsilon: float | None
-    dominated: dict[str, bool]
-    flags: tuple[str, ...]
-    excluded_outcomes: tuple[int, ...]
-    details: dict
-    trials: int = 0
-    seed: int | None = None
 
 
 class MinExpectation(NamedTuple):
@@ -151,107 +115,6 @@ def qdp_check(
     forward = sum(map(excess, p, q))
     backward = sum(map(excess, q, p))
     return max(forward, backward) <= delta + _EQ_SLACK
-
-
-def dominance_audit(
-    d: float,
-    r: int,
-    n: int,
-    mu0: float,
-    mu1: float,
-    regime: str = "noiseless",
-    p: float | None = None,
-    dim: int | None = None,
-) -> AuditReport:
-    """Check the closed-form budget against its own 3-sigma endpoints.
-
-    The budget formulas were derived by bounding the Gaussian-surrogate
-    log-likelihood ratio at x = mu0 +/- 3 sigma0. This audit recomputes the
-    ratio at those endpoints (clipped into [0, 1]) and records whether the
-    formula actually dominates them, then separately compares the formula
-    against the exact binomial leakage restricted to outcomes inside the
-    same window. Boundary counts k in {0, n} are tagged in
-    `excluded_outcomes` and left out of the windowed comparison.
-
-    Requires mu1 <= mu0 and the gap admissible for the regime
-    (mu0 - mu1 <= d r noiseless; mu0 within the depolarizing ratio bound).
-    When mu0 + mu1 > 1 the ratio's quadratic coefficient flips sign and the
-    endpoint-maximum argument breaks; the report flags NonConvexRegime
-    instead of asserting anything.
-
-    Any n that `check_count` admits is taken: the window's edge counts are
-    found by bisection in O(log n) steps, and its maxima and the exact
-    delta at the budget take O(1) memory.
-    """
-    d, r, n = check_distance(d), check_count(r, "rank r"), check_count(n, "shots n")
-    mu0, mu1 = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1")
-    if mu1 > mu0:
-        raise PreconditionViolatedError(f"PreconditionViolated: mu1={mu1} must be the smaller mean")
-    if regime == "noiseless":
-        if mu0 - mu1 > d * r + _EQ_SLACK:
-            raise PreconditionViolatedError(f"PreconditionViolated: gap {mu0 - mu1} exceeds d*r = {d * r}")
-        report = epsilon_noiseless(BudgetInputs(d=d, r=r, n=n, mu=mu1))
-    elif regime == "depolarizing":
-        bound = expectation_ratio_bound(mu1, d, p, dim)
-        if mu0 > bound + _EQ_SLACK:
-            raise PreconditionViolatedError(f"PreconditionViolated: mu0={mu0} exceeds ratio bound {bound:.12g}")
-        report = epsilon_depolarizing(BudgetInputs(d=d, r=r, n=n, mu=mu1, p=p, D=dim))
-    else:
-        raise BadConfigError(f"BadConfig: unknown regime {regime!r}")
-    eps = report.epsilon
-    flags = list(report.warnings)
-    if mu0 + mu1 > 1.0:
-        flags.append("NonConvexRegime")
-
-    sigma0 = _sigma(mu0, n)
-    raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
-    x_lower, x_upper = max(raw_lower, 0.0), min(raw_upper, 1.0)
-    llr_lower = log_likelihood_ratio(x_lower, mu0, mu1, n)
-    llr_upper = log_likelihood_ratio(x_upper, mu0, mu1, n)
-
-    # Counts k with raw_lower <= k/n <= raw_upper, k/n compared as a float,
-    # as one run k_lo..k_hi; k/n never decreases in k, so each edge is a
-    # bisection, with sentinels one past either end (an empty run has k_lo > k_hi).
-    k_lo = _last_holding(lambda k: k / n >= raw_lower, n + 1, -1)
-    k_hi = _last_holding(lambda k: k / n <= raw_upper, -1, n + 1)
-    lead, trail = _slopes(mu0, mu1)
-
-    def run_max(lo: int, hi: int) -> float:
-        # The log ratio is affine in k, so on a run of counts it peaks at an end.
-        if lo > hi:
-            return 0.0
-        return max(abs(_log_ratio(lead, trail, n, lo)), abs(_log_ratio(lead, trail, n, hi)))
-
-    excluded = tuple(k for k in (0, n) if k_lo <= k <= k_hi)
-    window_exact = run_max(max(k_lo, 1), min(k_hi, n - 1))
-    window_exact_full = run_max(k_lo, k_hi)
-
-    dominated = {
-        "endpoint_lower": llr_lower <= eps + _EQ_SLACK,
-        "endpoint_upper": llr_upper <= eps + _EQ_SLACK,
-        "window_exact": window_exact <= eps + _EQ_SLACK,
-    }
-    return AuditReport(
-        exact_epsilon=_exact_level(n, lead, trail),
-        # A nan budget is rejected as a nan eps given to hockey_stick_delta is.
-        exact_delta_at_eps=_hockey_stick(mu0, mu1, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
-        theorem_epsilon=eps,
-        dominated=dominated,
-        flags=tuple(flags),
-        excluded_outcomes=excluded,
-        details={
-            "x_lower": x_lower,
-            "x_upper": x_upper,
-            "endpoints_clipped": bool(x_lower != raw_lower or x_upper != raw_upper),
-            "llr_lower": llr_lower,
-            "llr_upper": llr_upper,
-            "slack_lower": eps - llr_lower,
-            "slack_upper": eps - llr_upper,
-            "window_exact_epsilon": window_exact,
-            "window_exact_epsilon_with_boundary": window_exact_full,
-            "window_outcome_count": k_hi - k_lo + 1,
-        },
-    )
 
 
 def monte_carlo_audit(mu0: float, mu1: float, n: int, trials: int, seed: int) -> AuditReport:

@@ -16,16 +16,28 @@ the near-mean deviance series `_near_deviance` and its length
 `_series_terms`, and the law's constants in `_Law` (the rounded means
 n mu and n (1 - mu), the affine correction for their rounding, and
 -stirlerr(n)). `shots.log_binomial_pmf` evaluates the same form on an
-array of counts from these pieces. This module imports only the standard
-library, so the exact oracles run in O(1) memory for any n.
+array of counts from these pieces.
+
+Beside the oracles sit the scalar checks built on them: the Gaussian
+surrogate's log ratio at an observed mean (`log_likelihood_ratio`), and
+`dominance_audit`, which compares a closed-form budget against that ratio
+at its 3-sigma endpoints and against the exact leakage inside the same
+window, and returns an `AuditReport`. Every oracle checks its inputs once
+and shares one slope pair, from `_slopes`, with the kernels `_log_ratio`
+and `_hockey_stick`. This module imports only the standard library and
+`budget`, which loads with the package and imports only the standard
+library too, so the exact oracles and the dominance audit run without
+numpy, in O(1) memory for any n.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
-from .errors import IterationCapError, check_count, check_mean, check_nonnegative
+from .budget import BudgetInputs, _evaluate, _pure, _sigma, expectation_ratio_bound
+from .errors import IterationCapError, PreconditionViolatedError, check_count, check_distance, check_mean, check_nonnegative
 
 _TWO_PI = 2.0 * math.pi
 # Stirling's error log k! - log(sqrt(2 pi k) (k/e)^k) at k = 0..15 (0 at k = 0 by convention).
@@ -35,6 +47,8 @@ STIRLERR_TABLE = (
     0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
     0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
 )
+# Float slack for comparisons that are exact in real arithmetic.
+_EQ_SLACK = 1e-12
 # The most continued-fraction steps, or directly summed counts, one delta may take.
 MAX_TERMS = 2**17
 # Counts summed between two direct evaluations of the pmf.
@@ -370,3 +384,160 @@ def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     eps, mu0 = check_nonnegative(eps, "eps"), check_mean(mu0, "mean mu0")
     n, mu1 = check_count(n, "shots n"), check_mean(mu1, "mean mu1")
     return _hockey_stick(mu0, mu1, n, *_slopes(mu0, mu1), eps)
+
+
+class AuditReport(NamedTuple):
+    """Outcome of one audit: oracle values, verdicts, and the numbers behind them.
+
+    `dominated` maps check names to booleans; `excluded_outcomes` lists the
+    outcome indices the audit left out of its comparisons (boundary counts
+    for the endpoint audit, zero-count bins for the Monte Carlo audit);
+    `details` carries the per-check numbers so slack can be inspected. The
+    Monte Carlo audit compares no closed form and draws no verdict: its
+    `theorem_epsilon` is None, `dominated` is empty, and its level is the
+    exact epsilon, where `exact_delta_at_eps` is 0.0.
+    """
+
+    exact_epsilon: float
+    exact_delta_at_eps: float
+    theorem_epsilon: float | None
+    dominated: dict[str, bool]
+    flags: tuple[str, ...]
+    excluded_outcomes: tuple[int, ...]
+    details: dict
+    trials: int = 0
+    seed: int | None = None
+
+
+def log_likelihood_ratio(x: float, mu0: float, mu1: float, n: int) -> float:
+    """Log ratio of the two unnormalized Gaussian-surrogate kernels at x.
+
+    Positive where an observed mean x favors mu0 over mu1. Expanded
+    polynomial form
+
+        n (mu0 - mu1) [ (1 - mu0 - mu1) x^2 / (2 mu0 mu1 (1-mu0)(1-mu1))
+                        + x / ((1-mu0)(1-mu1))
+                        - 1 / (2 (1-mu0)(1-mu1)) ]
+
+    The bracket is symmetric in (mu0, mu1). With the pair sorted and the
+    gap g = mu0 - mu1 brought inside, the sum is evaluated as
+
+        ((1-lo-hi)/2 (x/lo) ((g/hi) x) + g (x - 1/2)) / ((1-lo)(1-hi))
+
+    which forms no product of the means, so tiny means cannot divide by an
+    underflowed zero, and |g/hi| < 1, so the quadratic term is finite
+    wherever x/lo is (lo above about 1e-308). Swapping the hypotheses flips the sign of g alone:
+    antisymmetry is bit-exact; equal means give exactly 0. The shot count
+    multiplies last, so scaling in n is exact too. The kernels are
+    unnormalized: no log-sigma term appears.
+    """
+    x = check_mean(x, "sample mean x", allow_endpoints=True)
+    mu0 = check_mean(mu0, "mean mu0")
+    mu1 = check_mean(mu1, "mean mu1")
+    n = check_count(n, "shots n")
+    if mu0 == mu1:
+        return 0.0
+    lo, hi = (mu0, mu1) if mu0 <= mu1 else (mu1, mu0)
+    gap = mu0 - mu1
+    total = (0.5 * (1.0 - lo - hi)) * (x / lo) * ((gap / hi) * x) + gap * (x - 0.5)
+    return n * (total / ((1.0 - lo) * (1.0 - hi)))
+
+
+def dominance_audit(
+    d: float,
+    r: int,
+    n: int,
+    mu0: float,
+    mu1: float,
+    regime: str = "noiseless",
+    p: float | None = None,
+    dim: int | None = None,
+) -> AuditReport:
+    """Check the closed-form budget against its own 3-sigma endpoints.
+
+    The budget formulas were derived by bounding the Gaussian-surrogate
+    log-likelihood ratio at x = mu0 +/- 3 sigma0. This audit recomputes the
+    ratio at those endpoints (clipped into [0, 1]) and records whether the
+    formula actually dominates them, then separately compares the formula
+    against the exact binomial leakage restricted to outcomes inside the
+    same window. Boundary counts k in {0, n} are tagged in
+    `excluded_outcomes` and left out of the windowed comparison.
+
+    The budget is the regime's pure budget, checked as the budget API
+    checks it: p and dim are validated when given, and the depolarizing
+    regime needs both. Requires mu1 <= mu0 and the gap admissible for the
+    regime (mu0 - mu1 <= d r noiseless; mu0 within the depolarizing ratio
+    bound). When mu0 + mu1 > 1 the ratio's quadratic coefficient flips
+    sign and the endpoint-maximum argument breaks; the report flags
+    NonConvexRegime instead of asserting anything.
+
+    Any n that `check_count` admits is taken: the window's edge counts are
+    found by bisection in O(log n) steps, and its maxima and the exact
+    delta at the budget take O(1) memory.
+    """
+    d, r, n = check_distance(d), check_count(r, "rank r"), check_count(n, "shots n")
+    mu0, mu1 = check_mean(mu0, "mean mu0"), check_mean(mu1, "mean mu1")
+    if mu1 > mu0:
+        raise PreconditionViolatedError(f"PreconditionViolated: mu1={mu1} must be the smaller mean")
+    report = _evaluate(_pure, regime, BudgetInputs(d, r, n, mu1, p, dim))
+    if regime == "noiseless":
+        if mu0 - mu1 > d * r + _EQ_SLACK:
+            raise PreconditionViolatedError(f"PreconditionViolated: gap {mu0 - mu1} exceeds d*r = {d * r}")
+    else:
+        bound = expectation_ratio_bound(mu1, d, p, dim)
+        if mu0 > bound + _EQ_SLACK:
+            raise PreconditionViolatedError(f"PreconditionViolated: mu0={mu0} exceeds ratio bound {bound:.12g}")
+    eps = report.epsilon
+    flags = list(report.warnings)
+    if mu0 + mu1 > 1.0:
+        flags.append("NonConvexRegime")
+
+    sigma0 = _sigma(mu0, n)
+    raw_lower, raw_upper = mu0 - 3.0 * sigma0, mu0 + 3.0 * sigma0
+    x_lower, x_upper = max(raw_lower, 0.0), min(raw_upper, 1.0)
+    llr_lower = log_likelihood_ratio(x_lower, mu0, mu1, n)
+    llr_upper = log_likelihood_ratio(x_upper, mu0, mu1, n)
+
+    # Counts k with raw_lower <= k/n <= raw_upper, k/n compared as a float,
+    # as one run k_lo..k_hi; k/n never decreases in k, so each edge is a
+    # bisection, with sentinels one past either end (an empty run has k_lo > k_hi).
+    k_lo = _last_holding(lambda k: k / n >= raw_lower, n + 1, -1)
+    k_hi = _last_holding(lambda k: k / n <= raw_upper, -1, n + 1)
+    lead, trail = _slopes(mu0, mu1)
+
+    def run_max(lo: int, hi: int) -> float:
+        # The log ratio is affine in k, so on a run of counts it peaks at an end.
+        if lo > hi:
+            return 0.0
+        return max(abs(_log_ratio(lead, trail, n, lo)), abs(_log_ratio(lead, trail, n, hi)))
+
+    excluded = tuple(k for k in (0, n) if k_lo <= k <= k_hi)
+    window_exact = run_max(max(k_lo, 1), min(k_hi, n - 1))
+    window_exact_full = run_max(k_lo, k_hi)
+
+    dominated = {
+        "endpoint_lower": llr_lower <= eps + _EQ_SLACK,
+        "endpoint_upper": llr_upper <= eps + _EQ_SLACK,
+        "window_exact": window_exact <= eps + _EQ_SLACK,
+    }
+    return AuditReport(
+        exact_epsilon=_exact_level(n, lead, trail),
+        # A nan budget is rejected as a nan eps given to hockey_stick_delta is.
+        exact_delta_at_eps=_hockey_stick(mu0, mu1, n, lead, trail, check_nonnegative(max(eps, 0.0), "eps")),
+        theorem_epsilon=eps,
+        dominated=dominated,
+        flags=tuple(flags),
+        excluded_outcomes=excluded,
+        details={
+            "x_lower": x_lower,
+            "x_upper": x_upper,
+            "endpoints_clipped": bool(x_lower != raw_lower or x_upper != raw_upper),
+            "llr_lower": llr_lower,
+            "llr_upper": llr_upper,
+            "slack_lower": eps - llr_lower,
+            "slack_upper": eps - llr_upper,
+            "window_exact_epsilon": window_exact,
+            "window_exact_epsilon_with_boundary": window_exact_full,
+            "window_outcome_count": k_hi - k_lo + 1,
+        },
+    )

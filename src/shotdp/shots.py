@@ -2,10 +2,11 @@
 
 Averaging n single-shot outcomes gives a sample mean on the grid
 {0, 1/n, ..., 1}. `binomial_distribution` is the exact law of the success
-count behind that mean, and `log_binomial_pmf` its logarithm.
-`log_likelihood_ratio` compares the Gaussian surrogates N(mu, mu(1-mu)/n)
-of two candidate means, and `sample_means` draws reproducible Monte Carlo
-batches from the exact law.
+count behind that mean, and `log_binomial_pmf` its logarithm, both as
+arrays. `sample_means` draws reproducible Monte Carlo batches from the
+exact law. `log_likelihood_ratio`, which compares the Gaussian surrogates
+N(mu, mu(1-mu)/n) of two candidate means, is scalar code that needs no
+numpy; it is defined in `binomial` and bound here too.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .binomial import _TWO_PI, STIRLERR_TABLE, _Law, _near_deviance, _series_terms, _stirling_series
+from .binomial import _TWO_PI, STIRLERR_TABLE, _Law, _near_deviance, _series_terms, _stirling_series, log_likelihood_ratio
 from .errors import OutOfRangeError, check_count, check_mean
 
 _STIRLERR = np.array(STIRLERR_TABLE)
@@ -125,40 +126,6 @@ def binomial_distribution(mu: float, n: int) -> np.ndarray:
         probs = np.exp(log_binomial_pmf(mu, n))
     probs.setflags(write=False)
     return probs
-
-
-def log_likelihood_ratio(x: float, mu0: float, mu1: float, n: int) -> float:
-    """Log ratio of the two unnormalized Gaussian-surrogate kernels at x.
-
-    Positive where an observed mean x favors mu0 over mu1. Expanded
-    polynomial form
-
-        n (mu0 - mu1) [ (1 - mu0 - mu1) x^2 / (2 mu0 mu1 (1-mu0)(1-mu1))
-                        + x / ((1-mu0)(1-mu1))
-                        - 1 / (2 (1-mu0)(1-mu1)) ]
-
-    The bracket is symmetric in (mu0, mu1). With the pair sorted and the
-    gap g = mu0 - mu1 brought inside, the sum is evaluated as
-
-        ((1-lo-hi)/2 (x/lo) ((g/hi) x) + g (x - 1/2)) / ((1-lo)(1-hi))
-
-    which forms no product of the means, so tiny means cannot divide by an
-    underflowed zero, and |g/hi| < 1, so the quadratic term is finite
-    wherever x/lo is (lo above about 1e-308). Swapping the hypotheses flips the sign of g alone:
-    antisymmetry is bit-exact; equal means give exactly 0. The shot count
-    multiplies last, so scaling in n is exact too. The kernels are
-    unnormalized: no log-sigma term appears.
-    """
-    x = check_mean(x, "sample mean x", allow_endpoints=True)
-    mu0 = check_mean(mu0, "mean mu0")
-    mu1 = check_mean(mu1, "mean mu1")
-    n = check_count(n, "shots n")
-    if mu0 == mu1:
-        return 0.0
-    lo, hi = (mu0, mu1) if mu0 <= mu1 else (mu1, mu0)
-    gap = mu0 - mu1
-    total = (0.5 * (1.0 - lo - hi)) * (x / lo) * ((gap / hi) * x) + gap * (x - 0.5)
-    return n * (total / ((1.0 - lo) * (1.0 - hi)))
 
 
 def sample_means(mu: float, n: int, trials: int, seed: int) -> np.ndarray:

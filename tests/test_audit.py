@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from shotdp import (
     AuditReport,
+    BadConfigError,
     DegenerateMuError,
     IncompletePVMError,
     IterationCapError,
@@ -602,6 +603,12 @@ class TestDominanceAudit:
         rep = dominance_audit(0.0, 1, 10, 0.15, 0.15, regime="depolarizing", p=5e-324, dim=2)
         assert rep.theorem_epsilon == 0.0 and rep.exact_epsilon == 0.0
         assert all(rep.dominated.values())
+
+    @pytest.mark.parametrize("p, dim", [(None, 2), (0.5, None)])
+    def test_depolarizing_needs_p_and_dim(self, p, dim):
+        """The same error as the budget API, not a validator's complaint about None."""
+        with pytest.raises(BadConfigError, match="^BadConfig: depolarizing regime needs both p and D$"):
+            dominance_audit(0.1, 1, 10, 0.16, 0.15, regime="depolarizing", p=p, dim=dim)
 
     def test_depolarizing_ratio_bound_enforced(self):
         """mu0/mu1 beyond 1 + (1-p)/p d D cannot come from one depolarized pair."""

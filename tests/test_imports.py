@@ -46,14 +46,18 @@ def test_cli_import_leaves_heavy_stdlib_unloaded():
 
 
 def test_exact_oracles_load_without_numpy():
-    """The exact oracles import only the standard library, alone and through
-    the package, and the command line does not load them."""
+    """The exact oracles, the dominance audit and the surrogate log ratio
+    import only the standard library, alone and through the package, and
+    the command line does not load them."""
     code = (
         "import sys, shotdp.cli; cli = 'shotdp.binomial' in sys.modules\n"
         "import shotdp.binomial; from shotdp import exact_epsilon, hockey_stick_delta\n"
-        "print(cli, 'numpy' in sys.modules, hockey_stick_delta(0.25, 0.15, 10**6, 1.0))"
+        "from shotdp import AuditReport, dominance_audit, log_likelihood_ratio\n"
+        "report = dominance_audit(0.01, 1, 10, 0.16, 0.15)\n"
+        "print(cli, 'numpy' in sys.modules, hockey_stick_delta(0.25, 0.15, 10**6, 1.0), type(report) is AuditReport,\n"
+        "      report.exact_epsilon == exact_epsilon(0.16, 0.15, 10), log_likelihood_ratio(0.5, 0.16, 0.16, 10))"
     )
-    assert run_fresh(code).split() == ["False", "False", "1.0"]
+    assert run_fresh(code).split() == ["False", "False", "1.0", "True", "True", "0.0"]
 
 
 # Imports the package and the command line, then runs every golden budget
