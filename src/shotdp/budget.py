@@ -309,7 +309,11 @@ def epsilon_noiseless(inp: BudgetInputs) -> PrivacyReport:
                                     + d r (mu + d r) n / (1-mu) ]
 
     The first bracket term goes negative for mu > 1/2; the report flags
-    that regime rather than adjusting the value.
+    that regime rather than adjusting the value. Every finite epsilon,
+    flagged or not, is within 1e-14 S of the formula evaluated exactly on
+    the same float inputs, where S is the scale d r / ((1-mu) mu) times
+    the sum of the bracket terms' magnitudes; where the terms cancel
+    (mu > 1/2), that bound is absolute, not relative to epsilon.
     """
     return _evaluate(_pure, "noiseless", inp)
 
@@ -321,6 +325,11 @@ def epsilon_depolarizing(inp: BudgetInputs) -> PrivacyReport:
 
         eps = (a / (1-mu)) [ (9/2)(1-2mu) + (3/2) sqrt(n)
                              + a mu^2 (1+a) n / (1-mu) ]
+
+    As in the noiseless budget, every finite epsilon, flagged or not, is
+    within 1e-14 S of the formula evaluated exactly on the same float
+    inputs, where S is the scale a / (1-mu) times the sum of the bracket
+    terms' magnitudes.
     """
     return _evaluate(_pure, "depolarizing", inp)
 

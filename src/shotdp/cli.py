@@ -25,20 +25,21 @@ points, in grid order: `_sweep_blocks` maps the kernel over one block of
 axis values, `map(kernel, *iterables)` with the regime and every fixed
 argument repeated (a pure n-sweep maps `budget._pure_at` over n, with its
 coefficients computed once per sweep), and hands on the block as columns;
-`_csv_rows` writes the block through one row template, `%d` for an int
-column, `%.10g` for a float column and a column of one repeated value
-baked in as its text; `_json_rows` lays out the block's rows from the
-texts `_cells` makes in one pass per column (a column of one repeated
-value once); and `_table_text` joins the block texts once, at the end. A
-point that fails raises before any text is emitted, and no more than one
-block of results and cell texts is held at a time. A nested report
-(compute's JSON, the audit) takes `_json_text`. Both JSON writers write
-sorted keys and a two-space indent, the bytes the standard
-library's encoder would write, without its pure-Python indenting encoder,
-a rounded copy of the report, or the `json` package (which loads only to
-read --config). A run of floats texts each distinct value once and keeps
-the `.10g` text where it is already final, so a zero-heavy outcome array
-costs one format per distinct value, not per entry.
+`_rows` writes the block, in either format, through one `%` row template:
+`%d` for an int column, a column of one repeated value baked in as its
+text, `%.10g` for a CSV float column and `%s` over the cell texts for any
+other column (in JSON, the texts `_cells` makes in one pass per column);
+and `_table_text` joins the block texts once, at the end. A point that
+fails raises before any text is emitted, and no more than one block of
+results and cell texts is held at a time. A nested report (compute's
+JSON, the audit) takes `_json_text`. Table rows and report objects share
+one JSON object layout, `_object_text`: sorted keys and a two-space
+indent, the bytes the standard library's encoder would write, without
+its pure-Python indenting encoder, a rounded copy of the report, or the
+`json` package (which loads only to read --config). A run of floats
+texts each distinct value once and keeps the `.10g` text where it is
+already final, so a zero-heavy outcome array costs one format per
+distinct value, not per entry.
 
 Exit codes, all returned by `main`: 0 success, 2 configuration or
 validation error (an unknown flag included), 3 audit dominance failure.
@@ -129,6 +130,14 @@ _SCALAR_TEXT = {
 }
 
 
+def _object_text(keys, values, newline: str) -> str:
+    """The JSON object layout, from its key and value texts in order: each
+    `key: value` on its own line, indented by two spaces past `newline` (a
+    newline and the current indent)."""
+    inner = newline + "  "
+    return "{" + inner + ("," + inner).join(map("{}: {}".format, keys, values)) + newline + "}"
+
+
 def _value_text(obj, newline: str) -> str:
     """One value as JSON text, nested containers indented by two spaces
     past `newline` (a newline and the current indent)."""
@@ -142,8 +151,7 @@ def _value_text(obj, newline: str) -> str:
         # Keys become strings first, so a later key wins a collision and int keys sort as text.
         named = dict(zip(map(str, obj), obj.values()))
         keys = sorted(named)
-        items = map("{}: {}".format, map(_quote, keys), _cells(list(map(named.__getitem__, keys)), inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if obj else "{}"
+        return _object_text(map(_quote, keys), _cells([named[k] for k in keys], inner), newline) if obj else "{}"
     for kind in (str, int, float):
         if isinstance(obj, kind):
             return _SCALAR_TEXT[kind](obj)
@@ -159,72 +167,70 @@ def _json_text(obj) -> str:
     return _value_text(obj, "\n") + "\n"
 
 
-def _cells(column, inner: str | None = None):
-    """The text of each cell of a column, in one pass that runs in C through
-    `map` where the column holds one type. Ints are exact decimals. In JSON,
-    at the indent that `inner` ends in, floats take `_float_texts` and any
-    other value `_value_text`; in CSV (`inner` None), floats take `_fmt`,
-    tuples of flags are joined by semicolons, and a column that mixes ints
-    and floats is written cell by cell. A column of one object repeated,
-    such as a kernel's constant 0.0 or (), is texted once; equal values need
-    not share a text (0.0 and -0.0 do not), so equality is not enough."""
+def _cells(column, inner: str):
+    """The JSON text of each cell of a column, at the indent that `inner`
+    ends in, in one pass that runs in C through `map` where the column holds
+    one type: ints are exact decimals, floats take `_float_texts` and any
+    other value `_value_text`. A column of one object repeated, such as a
+    kernel's constant 0.0 or (), is texted once; equal values need not
+    share a text (0.0 and -0.0 do not), so equality is not enough."""
     kinds = set(map(type, column))
     if kinds == {int}:
         return map(str, column)
-    if inner is None and len(kinds) > 1:
-        return [str(x) if type(x) is int else _fmt(x) for x in column]
-    write = (lambda v: _value_text(v, inner)) if inner else ";".join if kinds == {tuple} else _fmt
     if column and all(map(is_, column, repeat(column[0]))):
-        return repeat(write(column[0]), len(column))
-    return _float_texts(column) if inner and kinds == {float} else map(write, column)
+        return repeat(_value_text(column[0], inner), len(column))
+    return _float_texts(column) if kinds == {float} else map(_value_text, column, repeat(inner))
 
 
-def _csv_rows(columns) -> str:
-    """One block of a CSV table, each row ending in a newline, written by one
-    row template: `%d` for a column of ints and `%.10g`, `_fmt`'s conversion,
-    for a column of floats; a column of one object repeated is baked in as
-    its `_cells` text, with `%` doubled, and any other column takes `%s`
-    over its `_cells` texts. An overflowing `.10g` text is then rewritten as
-    `_float_text` writes it."""
+def _csv_cell(x) -> str:
+    """One cell of a CSV column that mixes ints and floats."""
+    return str(x) if type(x) is int else _fmt(x)
+
+
+def _rows(header: list[str], columns, fmt: str) -> str:
+    """One block of a table, each row ending in its separator, written by one
+    `%` row template: `%d` for a column of ints; a column of one object
+    repeated baked in as its text, with `%` doubled; `%.10g`, `_fmt`'s
+    conversion, for a CSV column of floats; and `%s` over the cell texts for
+    any other column. A CSV row joins its fields by commas (a flag tuple's
+    by semicolons), and an overflowing `.10g` text is then rewritten as
+    `_float_text` writes it. A JSON row is the row dict
+    `dict(zip(header, row))`, so a repeated name keeps its last column, laid
+    out by `_object_text` from `_cells` texts."""
+    if fmt == "json":  # the fields by sorted key; names are distinct, so no two columns are compared
+        header, columns = zip(*sorted(dict(zip(header, columns)).items()))
     fields, args = [], []
     for column in columns:
         kinds = set(map(type, column))
         if kinds == {int}:
             fields.append("%d")
             args.append(column)
-        elif all(map(is_, column, repeat(column[0]))):
-            fields.append(next(_cells(column[:1])).replace("%", "%%"))
-        elif kinds == {float}:
+            continue
+        texts = _cells(column, "\n    ") if fmt == "json" else map(";".join if kinds == {tuple} else _csv_cell, column)
+        if all(map(is_, column, repeat(column[0]))):
+            fields.append(next(texts).replace("%", "%%"))
+        elif kinds == {float} and fmt == "csv":
             fields.append("%.10g")
             args.append(column)
         else:
             fields.append("%s")
-            args.append(_cells(column))
-    text = (",".join(fields) + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))
-    return text.replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
-
-
-def _json_rows(header: list[str], columns) -> str:
-    """One block of a JSON table: the row dicts `dict(zip(header, row))`, so
-    a repeated name keeps its last column, laid out by one row template."""
-    named = dict(zip(header, columns))
-    keys = sorted(named)
-    inner = "\n    "
-    fields = ("," + inner).join(_quote(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    return ",\n  ".join(map(("{{" + inner + fields + "\n  }}").format, *(_cells(named[k], inner) for k in keys)))
+            args.append(texts)
+    row = (_object_text((_quote(k).replace("%", "%%") for k in header), fields, "\n  ") + ",\n  " if fmt == "json"
+           else ",".join(fields) + "\n")
+    text = row * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))
+    return text if fmt == "json" else text.replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
 
 
 def _table_text(header: list[str], blocks, fmt: str) -> str:
     """A table as CSV or JSON text, from its blocks of columns in row order.
-    Each block is texted before the next is drawn, and the block texts are
-    joined once, at the end; an empty block is skipped. The JSON is what
-    `_json_text` writes for the list of row dicts."""
-    parts = [",".join(header), "\n"] if fmt == "csv" else ["[\n  "]
-    for columns in blocks:
-        if len(columns[0]):
-            parts += (_csv_rows(columns),) if fmt == "csv" else (_json_rows(header, columns), ",\n  ")
+    Each block is texted by `_rows` before the next is drawn, and the block
+    texts are joined once, at the end; an empty block is skipped. The JSON
+    is what `_json_text` writes for the list of row dicts: the last row's
+    separator is trimmed to close the list."""
+    parts = [",".join(header) + "\n"] if fmt == "csv" else ["[\n  "]
+    parts += (_rows(header, columns, fmt) for columns in blocks if len(columns[0]))
     if fmt == "json":
-        parts[-1] = "\n]\n" if len(parts) > 1 else "[]\n"
+        parts[-1] = parts[-1][:-4] + "\n]\n" if len(parts) > 1 else "[]\n"
     return "".join(parts)
 
 

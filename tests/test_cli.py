@@ -687,6 +687,15 @@ class TestTableWriters:
     @example((["n", "epsilon", "warnings"], (range(5, 8), (0.0, -0.0, 0.0), ((), (), ()))))
     @example((["{x}", "a\"}"], ([math.nan, math.inf, -math.inf, 1.7976931345e308], [-0.0, 0.0, -0.0, 0.0])))
     @example((["n", "warnings"], ((), ())))
+    # A `%` in header names, which the row template holds as key text.
+    @example((["50%", "%d", "%s%%", "warnings"], ([1, 2, 3], [0.5, 0.25, 0.125], [0.0] * 3, [(), (), ()])))
+    # A `%` in flag text, repeated (one object, baked into the row template) and varying.
+    @example((["x", "warnings"], ([1.0, 2.0, 3.0], [_PERCENT_FLAGS] * 3)))
+    @example((["x", "warnings"], ([1.0, 2.0, 3.0], [_PERCENT_FLAGS, ("%",), ("100%", "%%")])))
+    # A range of ints, and a float column of one nan or one -0.0 repeated.
+    @example((["n", "epsilon", "delta", "warnings"], (range(5, 8), [math.nan] * 3, [-0.0] * 3, [()] * 3)))
+    # One row, where every column is one object and the template takes no argument.
+    @example((["n", "epsilon", "delta", "warnings"], ([10], [6.4215954], [0.0], [("Divergent",)])))
     def test_json_table_writes_the_row_dicts(self, table):
         """The JSON of the row dicts `dict(zip(header, row))`, so a repeated name keeps its last column."""
         header, columns = table

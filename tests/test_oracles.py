@@ -6,12 +6,15 @@ versions they replaced live here as references: the largest absolute
 difference of the two log pmfs over all n + 1 counts, the window as masks
 over all counts, and doubling then bisection on the budget itself. The
 binomial law is checked against mpmath's log-gamma, and the hockey-stick
-delta of two binomial tails against a 40-digit mpmath sum.
+delta of two binomial tails against a 40-digit mpmath sum and, at any n,
+under the standard-library Renyi upper bound `renyi_delta_bound`. The pure
+budgets are checked against a 50-digit mpmath evaluation of their formula.
 """
 
 import itertools
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -184,6 +187,138 @@ def test_shots_for_budget_matches_bisection(regime, d, r, mu, p, dim, shots, str
     except UnattainableError:
         found = None
     assert found == expected
+
+
+def mp_pure_budget(regime, d, r, n, mu, p, dim):
+    """The pure budget of the float inputs at 50 digits, and its error scale
+    S = scale (|(9/2)(1 - 2 mu)| + (3/2) sqrt(n) + |quadratic n / (1 - mu)|),
+    the sum of the bracket's terms' magnitudes times the scale."""
+    with mpmath.workdps(50):
+        d, mu = mpmath.mpf(d), mpmath.mpf(mu)
+        if regime == "noiseless":
+            dr = d * r
+            scale, quadratic = dr / ((1 - mu) * mu), dr * (mu + dr)
+        else:
+            a = (1 - mpmath.mpf(p)) / p * d * r * dim
+            scale, quadratic = a / (1 - mu), a * mu**2 * (1 + a)
+        terms = (4.5 * (1 - 2 * mu), 1.5 * mpmath.sqrt(n), quadratic * n / (1 - mu))
+        return scale * mpmath.fsum(terms), scale * mpmath.fsum(map(abs, terms))
+
+
+@given(
+    regime=st.sampled_from(["noiseless", "depolarizing"]),
+    d=st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+    r=st.integers(min_value=1, max_value=64),
+    n=st.one_of(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=10**15)),
+    mu=means,
+    p=st.floats(min_value=sys.float_info.min, max_value=1.0),
+    dim=st.integers(min_value=1, max_value=64),
+)
+@example(regime="noiseless", d=0.1, r=1, n=10, mu=0.15, p=1.0, dim=1)
+# mu > 1/2, where (9/2)(1 - 2 mu) is negative and nearly cancels (3/2) sqrt(n).
+@example(regime="noiseless", d=0.001, r=1, n=6, mu=0.9, p=1.0, dim=1)
+@example(regime="depolarizing", d=0.001, r=1, n=6, mu=0.9, p=0.5, dim=2)
+@example(regime="depolarizing", d=0.1, r=1, n=10, mu=0.5, p=1.0, dim=2)  # p = 1: epsilon 0
+def test_pure_budgets_match_mpmath(regime, d, r, n, mu, p, dim):
+    """Every finite epsilon, flagged or not, is within 1e-14 S of a 50-digit
+    evaluation of its formula on the same float inputs; a non-finite one is
+    flagged Divergent."""
+    report = (epsilon_noiseless if regime == "noiseless" else epsilon_depolarizing)(BudgetInputs(d, r, n, mu, p, dim))
+    if not math.isfinite(report.epsilon):
+        assert "Divergent" in report.warnings
+        return
+    want, scale = mp_pure_budget(regime, d, r, n, mu, p, dim)
+    assert abs(report.epsilon - want) <= 1e-14 * scale, (report.epsilon, want, scale)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def renyi_delta_bound(mu0, mu1, n, eps):
+    """An upper bound on the hockey-stick delta of the n-shot pair at eps,
+    from the Renyi divergence, on the standard library only.
+
+    One shot's Renyi divergence of order alpha > 1 is D_alpha =
+    log(mu0^alpha mu1^(1-alpha) + (1-mu0)^alpha (1-mu1)^(1-alpha)) / (alpha - 1),
+    and n independent shots have n D_alpha (Mironov 2017). For every alpha,
+    delta <= exp((alpha - 1)(n D_alpha - eps) + (alpha - 1) log(1 - 1/alpha)
+    - log alpha) (Canonne, Kamath and Steinke 2020). With beta = alpha - 1
+    and the slopes g = log(mu0/mu1), log((1-mu0)/(1-mu1)), the log-sum-exp
+    taken about its larger term gives (alpha - 1) D_alpha = beta g_max +
+    log1p(w expm1(-beta (g_max - g_min))), where w (mu0 or 1 - mu0) weighs
+    the smaller slope. n g_max - eps, which cancels near the exact epsilon,
+    is formed at 50 digits by `decimal`; the other terms are well
+    conditioned in doubles. The exponent is convex in alpha, so a
+    golden-section search on log(alpha - 1) finds its least value; any
+    alpha gives a valid bound, so the search need not be exact.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b = Decimal(mu0), Decimal(mu1)
+        slopes = ((a / b).ln(), ((1 - a) / (1 - b)).ln())
+        gap = float(n * max(slopes) - Decimal(eps))
+        spread = float(max(slopes) - min(slopes))
+    weight = 1.0 - mu0 if slopes[0] >= slopes[1] else mu0
+
+    def log_bound(t):
+        beta = math.exp(t)
+        return (beta * gap + n * math.log1p(weight * math.expm1(-beta * spread))
+                - beta * math.log1p(1.0 / beta) - math.log1p(beta))
+
+    lo, hi = -40.0, 60.0
+    for _ in range(80):
+        left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        if log_bound(left) <= log_bound(right):
+            hi = right
+        else:
+            lo = left
+    return math.exp(log_bound((lo + hi) / 2))
+
+
+@st.composite
+def renyi_points(draw):
+    """A pair 0.1 to 6 standard deviations of the n-shot mean apart, either
+    one the larger, n up to 1e8 (so n mu (1 - mu) is within
+    `hockey_stick_delta`'s 1e8 for both means), and eps from 0 to the exact
+    epsilon."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=10**8)))
+    mu1 = draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    apart = draw(st.floats(min_value=0.1, max_value=6.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    mu0 = mu1 + apart * math.sqrt(mu1 * (1.0 - mu1) / n)
+    assume(0.0 < mu0 < 1.0 and mu0 != mu1)
+    return mu0, mu1, n, draw(st.floats(min_value=0.0, max_value=1.0)) * exact_epsilon(mu0, mu1, n)
+
+
+@given(point=renyi_points())
+@example(point=(0.25, 0.15, 10**4, 0.0))
+@example(point=(0.151, 0.15, 10**6, 1.0))
+@example(point=(0.15 + 6e-8, 0.15, 10**8, 0.5 * exact_epsilon(0.15 + 6e-8, 0.15, 10**8)))
+# 2^-53 below the exact epsilon, where the true delta is about 1e-16 of P0(n) and the rounding sets the delta.
+@example(point=(0.40649375903935, 0.08764965241671, 8, (1 - 2**-53) * exact_epsilon(0.40649375903935, 0.08764965241671, 8)))
+def test_hockey_stick_below_the_renyi_bound(point):
+    """In both orderings, the delta is at most the Renyi bound times
+    1 + 1e-9, with the bound taken at eps less 2^-50 of the exact epsilon:
+    `hockey_stick_delta` rounds each count's log ratio by a few units in the
+    last place of at most the exact epsilon (see its docstring), and a
+    larger log ratio at every count acts as a smaller eps. The shift moves
+    the bound only within about 1e-7 relative of the exact epsilon, where
+    the bound is tight to first order and that rounding sets the delta."""
+    mu0, mu1, n, eps = point
+    level = max(eps - 2**-50 * exact_epsilon(mu0, mu1, n), 0.0)
+    for a, b in ((mu0, mu1), (mu1, mu0)):
+        assert hockey_stick_delta(a, b, n, eps) <= renyi_delta_bound(a, b, n, level) * (1 + 1e-9), (a, b)
+
+
+@pytest.mark.parametrize("n, bound, exact", [
+    (30, 1.56e-7, 1.87e-8), (100, 8.34e-6, 1.52e-6), (1000, 2.23e-3, 3.97e-4), (10**4, 0.822, 0.312),
+])
+def test_renyi_bound_at_the_reported_pure_epsilon(n, bound, exact):
+    """At mu = 0.15 and mu0 = mu + d r = 0.25 (d = 0.1), at the pure budget's
+    epsilon, which reports delta 0: the Renyi bound and the exact delta, to
+    three digits."""
+    eps = epsilon_noiseless(BudgetInputs(0.1, 1, n, 0.15)).epsilon
+    assert float(f"{renyi_delta_bound(0.25, 0.15, n, eps):.3g}") == bound
+    assert float(f"{hockey_stick_delta(0.25, 0.15, n, eps):.3g}") == exact
 
 
 @given(point=pmf_points())
