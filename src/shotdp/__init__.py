@@ -24,59 +24,33 @@ package. `binomial` imports only the standard library and `budget`, and
 loads on first use of one of its names, so the exact oracles and the
 dominance audit run without numpy; `states`, `shots` and `audit` use numpy
 and load on first use of one of theirs.
+
+Each public name is listed once: the names of `budget` and `errors` in
+those modules' `__all__`, which the package star-imports, and the names
+of the four lazy submodules in `_LAZY_NAMES` below. `__all__` here is
+derived from those lists.
 """
 
 from importlib import import_module
 
-from .budget import (
-    BudgetInputs,
-    PrivacyReport,
-    c_from_delta,
-    delta_from_c,
-    depolarizing_constant,
-    epsilon_delta_depolarizing,
-    epsilon_delta_noiseless,
-    epsilon_depolarizing,
-    epsilon_noiseless,
-    expectation_ratio_bound,
-    shots_for_budget,
-)
-from .errors import (
-    AnchorCoincidesError,
-    BadConfigError,
-    ColumnsNotOrthonormalError,
-    DegenerateMuError,
-    DeltaOutOfRangeError,
-    DimMismatchError,
-    DistanceTooLargeError,
-    IncompletePVMError,
-    IterationCapError,
-    NotHermitianError,
-    NotPSDError,
-    OutOfRangeError,
-    PreconditionViolatedError,
-    ShotDPError,
-    TraceNotOneError,
-    UnattainableError,
-    ZeroNoiseError,
-)
+from . import budget, errors
+from .budget import *
+from .errors import *
+
 # These submodules load on first use, so `import shotdp` and the budget
-# commands load neither numpy nor the exact oracles. Each name below maps to
-# the submodule that defines it, and each submodule to itself.
-_LAZY = {
-    name: module
-    for module, names in {
-        "audit": ("MinExpectation", "min_expectation", "monte_carlo_audit", "qdp_check"),
-        "binomial": ("AuditReport", "dominance_audit", "exact_epsilon", "hockey_stick_delta", "log_likelihood_ratio"),
-        "shots": ("binomial_distribution", "log_binomial_pmf", "sample_means"),
-        "states": (
-            "Channel", "DensityMatrix", "Projector", "apply_channel", "basis_columns", "basis_state",
-            "complement_projector", "depolarizing_channel", "expectation", "identity_channel", "make_density",
-            "make_projector", "maximally_mixed", "neighbor_state", "trace_distance",
-        ),
-    }.items()
-    for name in (module, *names)
+# commands load neither numpy nor the exact oracles.
+_LAZY_NAMES = {
+    "audit": ("MinExpectation", "min_expectation", "monte_carlo_audit", "qdp_check"),
+    "binomial": ("AuditReport", "dominance_audit", "exact_epsilon", "hockey_stick_delta", "log_likelihood_ratio"),
+    "shots": ("binomial_distribution", "log_binomial_pmf", "sample_means"),
+    "states": (
+        "Channel", "DensityMatrix", "Projector", "apply_channel", "basis_columns", "basis_state",
+        "complement_projector", "depolarizing_channel", "expectation", "identity_channel", "make_density",
+        "make_projector", "maximally_mixed", "neighbor_state", "trace_distance",
+    ),
 }
+# Each lazy name maps to the submodule that defines it, and each submodule to itself.
+_LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in (module, *names)}
 
 
 def __getattr__(name: str):
@@ -96,60 +70,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorCoincidesError",
-    "AuditReport",
-    "BadConfigError",
-    "BudgetInputs",
-    "Channel",
-    "ColumnsNotOrthonormalError",
-    "DegenerateMuError",
-    "DeltaOutOfRangeError",
-    "DensityMatrix",
-    "DimMismatchError",
-    "DistanceTooLargeError",
-    "IncompletePVMError",
-    "IterationCapError",
-    "MinExpectation",
-    "NotHermitianError",
-    "NotPSDError",
-    "OutOfRangeError",
-    "PreconditionViolatedError",
-    "PrivacyReport",
-    "Projector",
-    "ShotDPError",
-    "TraceNotOneError",
-    "UnattainableError",
-    "ZeroNoiseError",
-    "apply_channel",
-    "basis_columns",
-    "basis_state",
-    "binomial_distribution",
-    "c_from_delta",
-    "complement_projector",
-    "delta_from_c",
-    "depolarizing_channel",
-    "depolarizing_constant",
-    "dominance_audit",
-    "epsilon_delta_depolarizing",
-    "epsilon_delta_noiseless",
-    "epsilon_depolarizing",
-    "epsilon_noiseless",
-    "exact_epsilon",
-    "expectation",
-    "expectation_ratio_bound",
-    "hockey_stick_delta",
-    "identity_channel",
-    "log_binomial_pmf",
-    "log_likelihood_ratio",
-    "make_density",
-    "make_projector",
-    "maximally_mixed",
-    "min_expectation",
-    "monte_carlo_audit",
-    "neighbor_state",
-    "qdp_check",
-    "sample_means",
-    "shots_for_budget",
-    "trace_distance",
-]
+__all__ = sorted([*budget.__all__, *errors.__all__, *(name for names in _LAZY_NAMES.values() for name in names)])

@@ -335,13 +335,15 @@ def _hockey_stick(mu0: float, mu1: float, n: int, lead: float, trail: float, eps
             pmf = math.exp(law0.log_pmf(k))
         head += pmf * share
         ratio = (n - k) * odds / (k + 1) if upper else k / ((n - k + 1) * odds)
+        stepped = pmf * ratio
         # A P0 below the normal range has lost the digits the ratio would scale
-        # up, and one above 1 has overflowed: either is taken afresh next.
-        pmf = pmf * ratio if pmf >= _SMALLEST_NORMAL else 0.0
+        # up, and one above 1 has overflowed: either is taken afresh next, and
+        # a pmf of 0.0 is only the flag that asks for it, never P0's estimate.
+        pmf = stepped if pmf >= _SMALLEST_NORMAL else 0.0
         k += step
         # Past P0's mode the ratio falls, so what is left of the run weighs at
-        # most pmf / (1 - ratio): once that is negligible, so is the rest of delta.
-        if k == beyond or ratio < 1.0 and pmf <= (1.0 - ratio) * head * _NEGLIGIBLE:
+        # most P0 / (1 - ratio): once that is negligible, so is the rest of delta.
+        if k == beyond or ratio < 1.0 and stepped <= (1.0 - ratio) * head * _NEGLIGIBLE:
             return head
     else:
         raise IterationCapError(f"IterationCap: more than {MAX_TERMS} counts with an excess under half of P0")
@@ -366,7 +368,11 @@ def hockey_stick_delta(mu0: float, mu1: float, n: int, eps: float) -> float:
     or at n, since the log ratio llr = log P0 - log P1 is affine in the
     count; its first count is found by bisection on the float llr. Where the
     excess P0(k) (1 - e^(eps - llr(k))) is under half of P0(k), counts are
-    summed directly; past them the rest is S0 - e^eps S1 for the two laws'
+    summed directly, with P0 stepped count to count and taken afresh where it
+    leaves the normal range; the sum stops early only once a bound on what
+    is left of the run, from the stepped P0 and never from the flag that
+    asks for a fresh one, falls below 2^-60 of it. Past those counts the
+    rest is S0 - e^eps S1 for the two laws'
     tails S0, S1 from that count, each a pmf at one count times a continued
     fraction, with e^eps S1 formed in log space, so e^eps never overflows
     and the difference loses at most one bit. The result is within 1e-12

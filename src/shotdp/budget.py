@@ -28,7 +28,8 @@ the coefficients computed once per sweep).
 Both records are standard-library named tuples. `mu` is always the smaller of the two
 outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
-`delta_from_c` / `c_from_delta`.
+`delta_from_c` / `c_from_delta`. `__all__` lists the names the package
+exports; the kernels and helpers serve `binomial` and `cli`.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ from .errors import (
     check_mean,
     check_noise,
 )
+
+__all__ = [
+    "BudgetInputs", "PrivacyReport", "epsilon_noiseless", "epsilon_depolarizing", "epsilon_delta_noiseless",
+    "epsilon_delta_depolarizing", "delta_from_c", "c_from_delta", "depolarizing_constant", "expectation_ratio_bound",
+    "shots_for_budget",
+]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

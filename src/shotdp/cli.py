@@ -11,9 +11,11 @@ Parameters come from inline flags or a flat JSON --config file (inline
 flags win). One table, `_COMMANDS`, lists the keys each command accepts;
 it builds the flags and checks the config file, so any other key exits 2
 and is named. The budget commands are a thin table over the kernels in
-`budget`: each names a (kernel, regime) pair, `compute` evaluates one
-checked bundle, and a sweep or figure checks two bundles, at the first and
-the last axis value, then maps the kernel over the axis. Each field admits
+`budget`: `_select_budget` alone picks the (kernel, regime) pair from the
+parameters, a tail parameter choosing the tail kernel and a figure naming
+its regime among its fixed parameters. `compute` evaluates one checked
+bundle, and a sweep or figure checks two bundles, at the first and the
+last axis value, then maps the kernel over the axis. Each field admits
 one interval of values and the axis values rise, so the two bundles check
 every point.
 
@@ -322,10 +324,11 @@ _SWEEP_COLUMNS = ("epsilon", "delta", "warnings")
 _BLOCK = 4096
 
 
-def _sweep_blocks(kernel, regime: str, params: dict, axis: str, values, columns: tuple[str, ...]):
+def _sweep_blocks(params: dict, axis: str, values, columns: tuple[str, ...]):
     """Evaluate one budget along an axis, one block of `_BLOCK` values at a
     time: each block yields its axis values, then the `columns` of the
-    kernel's results (two or more, "warnings" last).
+    kernel's results (two or more, "warnings" last). `_select_budget` picks
+    the kernel and regime from the fixed parameters and the first value.
 
     The values rise, as every grid's do, and each field admits one interval
     of values, so two bundles check them all: the fixed parameters with the
@@ -334,8 +337,9 @@ def _sweep_blocks(kernel, regime: str, params: dict, axis: str, values, columns:
     repeated. A pure n-sweep maps `_pure_at` instead, with the coefficients,
     which do not depend on n, computed once from the first bundle.
     """
-    first = _inputs({**params, axis: values[0]})
-    arguments = _arguments(kernel, regime, first, params.get("convention") or "paper")
+    at_first = {**params, axis: values[0]}
+    kernel, regime = _select_budget(at_first)
+    arguments = _arguments(kernel, regime, _inputs(at_first), params.get("convention") or "paper")
     _inputs({**params, axis: values[-1]})
     iterables = [*map(repeat, (regime, *arguments))]
     slot = 1 + BudgetInputs._fields.index(axis)
@@ -362,23 +366,22 @@ def run_sweep(cfg: RunConfig) -> str:
     if fmt not in ("csv", "json"):
         raise BadConfigError(f"BadConfig: unknown format {fmt!r}")
     values = _grid_values(*cfg.grid, integer=axis == "n")
-    kernel, regime = _select_budget({**cfg.params, axis: values[0]})
-    blocks = _sweep_blocks(kernel, regime, cfg.params, axis, values, _SWEEP_COLUMNS)
-    return _table_text([axis, *_SWEEP_COLUMNS], blocks, fmt)
+    return _table_text([axis, *_SWEEP_COLUMNS], _sweep_blocks(cfg.params, axis, values, _SWEEP_COLUMNS), fmt)
 
 
 _SHOT_AXIS = tuple(range(5, 101))
 # 40 log-spaced delta from 1e-4 to 1e-1, each within 1 ulp of np.logspace(-4, -1, 40).
 _FIG5A_AXIS = (*(10.0 ** (-4 + i * (3 / 39)) for i in range(39)), 0.1)
-# The bundled reference sweeps, all at d = 0.1, r = 1, mu = 0.15:
-# name -> (kernel, regime, other fixed parameters, axis, default axis values, columns after the axis).
+# The bundled reference sweeps, all at d = 0.1, r = 1, mu = 0.15, each taking
+# its budget by `_select_budget`, as a sweep does:
+# name -> (other fixed parameters, axis, default axis values, columns after the axis).
 _FIGURES = {
-    "fig3": (_pure, "noiseless", {}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
-    "fig4a": (_pure, "depolarizing", {"n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
+    "fig3": ({}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig4a": ({"regime": "depolarizing", "n": 10, "D": 2}, "p", tuple(i / 100.0 for i in range(5, 96)),
               ("epsilon", "warnings")),
-    "fig4b": (_pure, "depolarizing", {"p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
-    "fig5a": (_tail, "noiseless", {"n": 10}, "delta", _FIG5A_AXIS, ("c", "epsilon", "warnings")),
-    "fig5b": (_tail, "noiseless", {"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig4b": ({"regime": "depolarizing", "p": 0.5, "D": 2}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
+    "fig5a": ({"n": 10}, "delta", _FIG5A_AXIS, ("c", "epsilon", "warnings")),
+    "fig5b": ({"delta": 0.01}, "n", _SHOT_AXIS, ("epsilon", "warnings")),
 }
 
 
@@ -395,11 +398,11 @@ def run_figures(which: str, out: str | None, grid: tuple[float, float, float] | 
     """
     if which not in _FIGURES:
         raise BadConfigError(f"BadConfig: unknown figure {which!r}")
-    kernel, regime, fixed, axis, values, columns = _FIGURES[which]
+    fixed, axis, values, columns = _FIGURES[which]
     if grid is not None:
         values = _grid_values(*grid, integer=axis == "n")
     params = {"d": 0.1, "r": 1, "mu": 0.15, **fixed}
-    text = _table_text([axis, *columns], _sweep_blocks(kernel, regime, params, axis, values, columns), "csv")
+    text = _table_text([axis, *columns], _sweep_blocks(params, axis, values, columns), "csv")
     _emit(text, out)
     return text
 

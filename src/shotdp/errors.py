@@ -5,12 +5,21 @@ callers can catch the package's rejections generically while tests and the
 command line can name the precise condition. Each scalar parameter has one
 `check_*` validator below, which returns the value it accepted: real
 parameters as a `float` (bools and non-numbers rejected), counts as an `int`.
+`__all__` lists the exception classes, which the package exports; the
+validators serve the package's own modules.
 """
 
 import math
 import numbers
 import operator
 import sys
+
+__all__ = [
+    "ShotDPError", "NotHermitianError", "NotPSDError", "TraceNotOneError", "ColumnsNotOrthonormalError",
+    "DimMismatchError", "AnchorCoincidesError", "DistanceTooLargeError", "OutOfRangeError", "DegenerateMuError",
+    "ZeroNoiseError", "DeltaOutOfRangeError", "UnattainableError", "IncompletePVMError", "PreconditionViolatedError",
+    "BadConfigError", "IterationCapError",
+]
 
 # The largest count that float math can take: a larger int overflows a double.
 _LARGEST_COUNT = int(sys.float_info.max)

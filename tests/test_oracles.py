@@ -7,7 +7,8 @@ difference of the two log pmfs over all n + 1 counts, the window as masks
 over all counts, and doubling then bisection on the budget itself. The
 binomial law is checked against mpmath's log-gamma, and the hockey-stick
 delta of two binomial tails against a 40-digit mpmath sum and, at any n,
-under the standard-library Renyi upper bound `renyi_delta_bound`. The pure
+under the standard-library Renyi upper bound `renyi_delta_bound`, and it
+must not fall as the means move apart or as n grows. The pure
 budgets are checked against a 50-digit mpmath evaluation of their formula.
 """
 
@@ -321,6 +322,51 @@ def test_renyi_bound_at_the_reported_pure_epsilon(n, bound, exact):
     assert float(f"{hockey_stick_delta(0.25, 0.15, n, eps):.3g}") == exact
 
 
+@st.composite
+def nested_pairs(draw):
+    """mu1 and two means on one side of it, the nearer first, 0.1 to 6
+    standard deviations of the n-shot mean away; n up to 1e8 and a larger
+    count up to 2n + 1 (so n mu (1 - mu) stays within `hockey_stick_delta`'s
+    1e8 for every mean); and eps from 0 to 1.1 times the exact epsilon of the
+    nearer pair at n, half of them 2^-k below it, where the delta is least."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=1000), st.integers(min_value=1, max_value=10**8)))
+    more = draw(st.one_of(st.integers(min_value=n + 1, max_value=n + 100),
+                          st.integers(min_value=n + 1, max_value=2 * n + 1)))
+    mu1 = draw(st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+    sigma = draw(st.sampled_from((-1.0, 1.0))) * math.sqrt(mu1 * (1.0 - mu1) / n)
+    near, far = sorted(draw(st.floats(min_value=0.1, max_value=6.0)) for _ in range(2))
+    mu_near, mu_far = mu1 + near * sigma, mu1 + far * sigma
+    assume(0.0 < mu_far < 1.0 and mu_near != mu1)
+    share = draw(st.one_of(st.floats(min_value=0.0, max_value=1.1), st.integers(1, 53).map(lambda k: 1.0 - 2.0**-k)))
+    return mu1, mu_near, mu_far, n, more, share * exact_epsilon(mu_near, mu1, n)
+
+
+@given(point=nested_pairs())
+def test_delta_grows_with_the_gap(point):
+    """At a fixed n and eps, in both orderings, the delta does not fall as
+    one mean moves away from the other, to 1e-9 relative. A post-processing
+    argument does not give this: a map from Bernoulli(mu0'') to
+    Bernoulli(mu0') moves mu1 too. A budget's worst pair of means rests on
+    it."""
+    mu1, near, far, n, _, eps = point
+    assert hockey_stick_delta(near, mu1, n, eps) <= hockey_stick_delta(far, mu1, n, eps) * (1 + 1e-9)
+    assert hockey_stick_delta(mu1, near, n, eps) <= hockey_stick_delta(mu1, far, n, eps) * (1 + 1e-9)
+
+
+@given(point=nested_pairs())
+# P0 steps below the normal range inside the head at both counts; the sum
+# stopped there and the delta fell from 8.60e-314 to 5.98e-314 (by 60-digit
+# mpmath 6.53e-313 and 1.30e-312).
+@example(point=(0.30381003631023185, 0.3120121558749701, 0.3120121558749701, 21888, 21909, 105.85101438709998))
+def test_delta_grows_with_the_shot_count(point):
+    """At a fixed pair and eps, in both orderings, the delta does not fall as
+    n grows, to 1e-9 relative: dropping a shot is post-processing. A search
+    for the shot count that meets an (eps, delta) budget rests on it."""
+    mu1, near, _, n, more, eps = point
+    for a, b in ((near, mu1), (mu1, near)):
+        assert hockey_stick_delta(a, b, n, eps) <= hockey_stick_delta(a, b, more, eps) * (1 + 1e-9), (a, b)
+
+
 @given(point=pmf_points())
 # Counts 36 standard deviations out, where the rounding of n mu and n (1-mu) costs 1.2e-11 uncorrected.
 @example(point=(0.488126935591685, 10**7, [4824364, 4938174]))
@@ -454,6 +500,9 @@ def hockey_stick_points(draw):
 # count cancels to 1e-9 of itself, and llr(k) is rounded by below 1e-20.
 @example(point=(0.3, 0.3000000001, 100, 0.0))
 @example(point=(0.70000003, 0.7, 1000, 0.0))
+# P0 steps below the normal range inside the head, past its mode; the sum
+# stopped there and returned 1.2110067644755549e-300, 7.6e-7 relative low.
+@example(point=(0.30004, 0.3, 10**8, 32.64218999492641))
 def test_hockey_stick_matches_mpmath(point):
     """Every delta above 1e-300 is within 1e-12 relative of 40 digits, past
     the error that rounding the log ratio to doubles sets for any float
