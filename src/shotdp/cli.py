@@ -11,37 +11,15 @@ Parameters come from inline flags or a flat JSON --config file (inline
 flags win). One table, `_COMMANDS`, lists the keys each command accepts;
 it builds the flags and checks the config file, so any other key exits 2
 and is named. The budget commands are a thin table over the kernels in
-`budget`: `_select_budget` alone picks the (kernel, regime) pair from the
-parameters, a tail parameter choosing the tail kernel and a figure naming
-its regime among its fixed parameters. `compute` evaluates one checked
-bundle, and a sweep or figure checks two bundles, at the first and the
-last axis value, then maps the kernel over the axis. Each field admits
-one interval of values and the axis values rise, so the two bundles check
-every point.
+`budget`: `_select_budget` picks the kernel and checks the parameters,
+and a sweep or figure maps the kernel over its axis.
 
-Every float is emitted with 10 significant digits through one format,
-`.10g`, and every int as its exact decimal text, so JSON and CSV encode
-identical values and reruns are byte-identical. A table (a sweep, a
-figure, compute's CSV row) is made and written in blocks of `_BLOCK`
-points, in grid order: `_sweep_blocks` maps the kernel over one block of
-axis values, `map(kernel, *iterables)` with the regime and every fixed
-argument repeated (a pure n-sweep maps `budget._pure_at` over n, with its
-coefficients computed once per sweep), and hands on the block as columns;
-`_rows` writes the block, in either format, through one `%` row template:
-`%d` for an int column, a column of one repeated value baked in as its
-text, `%.10g` for a CSV float column and `%s` over the cell texts for any
-other column (in JSON, the texts `_cells` makes in one pass per column);
-and `_table_text` joins the block texts once, at the end. A point that
-fails raises before any text is emitted, and no more than one block of
-results and cell texts is held at a time. A nested report (compute's
-JSON, the audit) takes `_json_text`. Table rows and report objects share
-one JSON object layout, `_object_text`: sorted keys and a two-space
-indent, the bytes the standard library's encoder would write, without
-its pure-Python indenting encoder, a rounded copy of the report, or the
-`json` package (which loads only to read --config). A run of floats
-texts each distinct value once and keeps the `.10g` text where it is
-already final, so a zero-heavy outcome array costs one format per
-distinct value, not per entry.
+Every float is written with 10 significant digits through one format and
+every int as its exact decimal text, so JSON and CSV encode identical
+values and reruns are byte-identical. A table is evaluated and texted a
+block of points at a time and emitted once every point has computed, so a
+failing point writes nothing. Text is written without loading the `json`
+package, which loads only to read --config.
 
 Exit codes, all returned by `main`: 0 success, 2 configuration or
 validation error (an unknown flag included), 3 audit dominance failure.
@@ -52,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import namedtuple
 from itertools import chain, filterfalse, groupby, repeat
 from operator import is_
 
@@ -71,22 +50,15 @@ MAX_GRID_POINTS = 10**6
 MAX_AUDIT_ENTRIES = 2**20
 
 
-class RunConfig:
-    """One command invocation: what to run, on what, and where it goes."""
+# One command invocation: what to run, on what, and where it goes. The
+# default params dict is shared by every record that omits it; nothing
+# writes to a record's params.
+RunConfig = namedtuple("RunConfig", ("command", "params", "grid", "seed", "output_path", "format"),
+                       defaults=({}, None, 42, None, None))
 
-    def __init__(self, command: str, params: dict | None = None, grid: tuple[float, float, float] | None = None,
-                 seed: int = 42, output_path: str | None = None, format: str | None = None):
-        self.command = command
-        self.params = {} if params is None else params
-        self.grid = grid
-        self.seed = seed
-        self.output_path = output_path
-        self.format = format
-
-
-# The `.10g` float format as text: JSON rounds every float through it, and
-# CSV prints each float in it.
-_fmt = "%.10g".__mod__
+# The float format: JSON rounds every float through it, and CSV prints each float in it.
+_FLOAT_FORMAT = "%.10g"
+_fmt = _FLOAT_FORMAT.__mod__
 # json's spellings of the floats that float.__repr__ writes as nan, inf and -inf.
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -174,8 +146,9 @@ def _cells(column, inner: str):
     ends in, in one pass that runs in C through `map` where the column holds
     one type: ints are exact decimals, floats take `_float_texts` and any
     other value `_value_text`. A column of one object repeated, such as a
-    kernel's constant 0.0 or (), is texted once; equal values need not
-    share a text (0.0 and -0.0 do not), so equality is not enough."""
+    kernel's constant 0.0 or (), is texted once, as an `itertools.repeat`
+    of that text; equal values need not share a text (0.0 and -0.0 do not),
+    so equality is not enough."""
     kinds = set(map(type, column))
     if kinds == {int}:
         return map(str, column)
@@ -191,36 +164,38 @@ def _csv_cell(x) -> str:
 
 def _rows(header: list[str], columns, fmt: str) -> str:
     """One block of a table, each row ending in its separator, written by one
-    `%` row template: `%d` for a column of ints; a column of one object
-    repeated baked in as its text, with `%` doubled; `%.10g`, `_fmt`'s
-    conversion, for a CSV column of floats; and `%s` over the cell texts for
-    any other column. A CSV row joins its fields by commas (a flag tuple's
-    by semicolons), and an overflowing `.10g` text is then rewritten as
-    `_float_text` writes it. A JSON row is the row dict
-    `dict(zip(header, row))`, so a repeated name keeps its last column, laid
-    out by `_object_text` from `_cells` texts."""
+    `%` row template in which a column of one object repeated is baked in
+    as its text, with `%` doubled.
+
+    A JSON row is the row dict `dict(zip(header, row))`, so a repeated name
+    keeps its last column, laid out by `_object_text`: each other field is
+    `%s` over its `_cells` texts. A CSV row joins its fields by commas: `%d`
+    for a column of ints, `_FLOAT_FORMAT` for a column of floats and `%s`
+    over the cell texts for any other column (a flag tuple's joined by
+    semicolons); an overflowing `.10g` text is then rewritten as
+    `_float_text` writes it.
+    """
     if fmt == "json":  # the fields by sorted key; names are distinct, so no two columns are compared
         header, columns = zip(*sorted(dict(zip(header, columns)).items()))
+        cells = [_cells(column, "\n    ") for column in columns]
+        fields = [next(texts).replace("%", "%%") if type(texts) is repeat else "%s" for texts in cells]
+        row = _object_text((_quote(k).replace("%", "%%") for k in header), fields, "\n  ") + ",\n  "
+        args = [texts for texts in cells if type(texts) is not repeat]
+        return row * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))
     fields, args = [], []
     for column in columns:
         kinds = set(map(type, column))
-        if kinds == {int}:
-            fields.append("%d")
-            args.append(column)
-            continue
-        texts = _cells(column, "\n    ") if fmt == "json" else map(";".join if kinds == {tuple} else _csv_cell, column)
+        cell = ";".join if kinds == {tuple} else _csv_cell
         if all(map(is_, column, repeat(column[0]))):
-            fields.append(next(texts).replace("%", "%%"))
-        elif kinds == {float} and fmt == "csv":
-            fields.append("%.10g")
+            fields.append(cell(column[0]).replace("%", "%%"))
+        elif kinds in ({int}, {float}):
+            fields.append("%d" if kinds == {int} else _FLOAT_FORMAT)
             args.append(column)
         else:
             fields.append("%s")
-            args.append(texts)
-    row = (_object_text((_quote(k).replace("%", "%%") for k in header), fields, "\n  ") + ",\n  " if fmt == "json"
-           else ",".join(fields) + "\n")
-    text = row * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))
-    return text if fmt == "json" else text.replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
+            args.append(map(cell, column))
+    row = ",".join(fields) + "\n"
+    return (row * len(columns[0]) % tuple(chain.from_iterable(zip(*args)))).replace(_OVERFLOW_TEXT, _LARGEST_TEXT)
 
 
 def _table_text(header: list[str], blocks, fmt: str) -> str:
@@ -286,26 +261,24 @@ def _grid_values(start: float, stop: float, step: float, integer: bool) -> range
     return range(lo, hi + 1, inc) if integer else [v for v, _ in groupby(start + i * step for i in range(count))]
 
 
-def _inputs(params: dict) -> BudgetInputs:
-    """The checked bundle of the budget fields in `params`; d, r, n and mu are required."""
+def _select_budget(params: dict) -> tuple:
+    """The budget that `params` names, as `budget._evaluate`'s arguments:
+    (kernel, regime, checked bundle, convention). d, r, n and mu are
+    required, and a tail parameter selects the tail kernel; the regime
+    defaults to noiseless and the convention to paper. The bundle's fields
+    are checked here, and `budget._arguments` checks the rest, an unknown
+    regime included, when the kernel is called."""
     missing = [k for k in _REQUIRED if params.get(k) is None]
     if missing:
         raise BadConfigError(f"BadConfig: missing required parameters {missing}")
-    return BudgetInputs(**{k: params[k] for k in BudgetInputs._fields if params.get(k) is not None})
-
-
-def _select_budget(params: dict) -> tuple:
-    """The (kernel, regime) pair: a tail parameter selects the tail kernel.
-    `budget._arguments` rejects an unknown regime."""
-    tail = params.get("c") is not None or params.get("delta") is not None
-    return (_tail if tail else _pure), params.get("regime") or "noiseless"
+    bundle = BudgetInputs(**{k: params[k] for k in BudgetInputs._fields if params.get(k) is not None})
+    kernel = _tail if bundle.c is not None or bundle.delta is not None else _pure
+    return kernel, params.get("regime") or "noiseless", bundle, params.get("convention") or "paper"
 
 
 def run_compute(cfg: RunConfig) -> str:
     """Evaluate one budget and serialize the report."""
-    params = cfg.params
-    kernel, regime = _select_budget(params)
-    report = _evaluate(kernel, regime, _inputs(params), params.get("convention") or "paper")
+    report = _evaluate(*_select_budget(cfg.params))
     fmt = cfg.format or "json"
     if fmt == "json":
         inputs = {k: v for k, v in report.inputs._asdict().items() if v is not None}
@@ -328,7 +301,7 @@ def _sweep_blocks(params: dict, axis: str, values, columns: tuple[str, ...]):
     """Evaluate one budget along an axis, one block of `_BLOCK` values at a
     time: each block yields its axis values, then the `columns` of the
     kernel's results (two or more, "warnings" last). `_select_budget` picks
-    the kernel and regime from the fixed parameters and the first value.
+    the budget from the fixed parameters and the first value.
 
     The values rise, as every grid's do, and each field admits one interval
     of values, so two bundles check them all: the fixed parameters with the
@@ -337,10 +310,9 @@ def _sweep_blocks(params: dict, axis: str, values, columns: tuple[str, ...]):
     repeated. A pure n-sweep maps `_pure_at` instead, with the coefficients,
     which do not depend on n, computed once from the first bundle.
     """
-    at_first = {**params, axis: values[0]}
-    kernel, regime = _select_budget(at_first)
-    arguments = _arguments(kernel, regime, _inputs(at_first), params.get("convention") or "paper")
-    _inputs({**params, axis: values[-1]})
+    kernel, regime, first, convention = _select_budget({**params, axis: values[0]})
+    arguments = _arguments(kernel, regime, first, convention)
+    _select_budget({**params, axis: values[-1]})
     iterables = [*map(repeat, (regime, *arguments))]
     slot = 1 + BudgetInputs._fields.index(axis)
     if kernel is _pure and axis == "n":
@@ -632,25 +604,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; argparse's own exits
-    (2 on a bad flag, 0 after --help) are returned too, not raised."""
+    (2 on a bad flag, 0 after --help) are returned too, not raised.
+
+    `compute`, `sweep` and `audit` emit their text through `_emit`, to
+    stdout or --out; `figures` needs --out and `run_figures` writes it. The
+    run functions are looked up by name at each call, so a wrapper bound
+    over a module attribute sees every call."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
         cfg = _merge_config(args)
-        if cfg.command in ("compute", "sweep"):
-            _emit((run_compute if cfg.command == "compute" else run_sweep)(cfg), cfg.output_path)
-            return 0
         if cfg.command == "figures":
-            which = cfg.params.get("which")
-            if not which:
+            if not cfg.params.get("which"):
                 raise BadConfigError("BadConfig: figures needs --which")
             if cfg.output_path is None:
                 raise BadConfigError("BadConfig: figures needs --out")
-            run_figures(which, cfg.output_path, cfg.grid)
+            run_figures(cfg.params["which"], cfg.output_path, cfg.grid)
             return 0
-        text, code = run_audit(cfg)
+        if cfg.command == "audit":
+            text, code = run_audit(cfg)
+        else:
+            text, code = (run_compute if cfg.command == "compute" else run_sweep)(cfg), 0
         _emit(text, cfg.output_path)
         return code
     except ShotDPError as exc:

@@ -4,9 +4,7 @@ Averaging n single-shot outcomes gives a sample mean on the grid
 {0, 1/n, ..., 1}. `binomial_distribution` is the exact law of the success
 count behind that mean, and `log_binomial_pmf` its logarithm, both as
 arrays. `sample_means` draws reproducible Monte Carlo batches from the
-exact law. `log_likelihood_ratio`, which compares the Gaussian surrogates
-N(mu, mu(1-mu)/n) of two candidate means, is scalar code that needs no
-numpy; it is defined in `binomial` and bound here too.
+exact law.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 
 import numpy as np
 
-from .binomial import _TWO_PI, STIRLERR_TABLE, _Law, _near_deviance, _series_terms, _stirling_series, log_likelihood_ratio
+from .binomial import _TWO_PI, STIRLERR_TABLE, _Law, _near_deviance, _series_terms, _stirling_series
 from .errors import OutOfRangeError, check_count, check_mean
 
 _STIRLERR = np.array(STIRLERR_TABLE)

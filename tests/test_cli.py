@@ -20,7 +20,7 @@ from shotdp import (
 )
 from shotdp.cli import (
     _BLOCK, _FIGURES, GRID_AXES, MAX_GRID_POINTS, RunConfig, _fmt, _grid_values, _json_text, _parse_grid,
-    _table_text, main, run_figures, run_sweep,
+    _table_text, main, run_audit, run_figures, run_sweep,
 )
 
 
@@ -485,6 +485,31 @@ class TestSweepBlocks:
             tracemalloc.stop()
         assert text.count("\n") == (1e5 + 1 if fmt == "csv" else 6e5 + 2)
         assert peak <= 3 * len(text)
+
+
+class TestRunConfig:
+    """The run record, built by keyword as the library's callers and the
+    benchmark build it; unset fields take their defaults."""
+
+    @pytest.mark.parametrize("command, fields", [
+        ("sweep", {"params": {"axis": "n", "d": 0.01, "r": 1, "mu": 0.15}, "grid": (1, 100, 1), "format": "json"}),
+        ("sweep", {"params": {"axis": "n", "d": 0.01, "r": 1, "mu": 0.15}, "grid": (1, 100, 1)}),
+        ("audit", {"params": {"n": 5000, "d": 0.01}, "seed": 7}),
+        ("audit", {"params": {"trials": 50000}, "seed": 42}),
+        ("compute", {"params": {"d": 0.1}, "grid": None, "seed": 0, "output_path": "out.json", "format": "csv"}),
+        ("figures", {}),
+    ])
+    def test_keyword_construction_and_defaults(self, command, fields):
+        expected = {"command": command, "params": {}, "grid": None, "seed": 42, "output_path": None, "format": None,
+                    **fields}
+        for cfg in (RunConfig(command, **fields), RunConfig(command=command, **fields)):
+            assert {name: getattr(cfg, name) for name in expected} == expected
+
+    def test_default_seed_is_the_command_lines(self, capsys):
+        """A record without a seed audits as `main` does without --seed."""
+        text, code = run_audit(RunConfig("audit", params={"trials": 1000}))
+        assert main(["audit", "--trials", "1000"]) == code
+        assert capsys.readouterr().out == text
 
 
 class TestStrictKeys:

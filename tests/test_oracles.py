@@ -8,8 +8,9 @@ over all counts, and doubling then bisection on the budget itself. The
 binomial law is checked against mpmath's log-gamma, and the hockey-stick
 delta of two binomial tails against a 40-digit mpmath sum and, at any n,
 under the standard-library Renyi upper bound `renyi_delta_bound`, and it
-must not fall as the means move apart or as n grows. The pure
-budgets are checked against a 50-digit mpmath evaluation of their formula.
+must not fall as the means move apart or as n grows. The pure budgets are
+checked against a 50-digit mpmath evaluation of their formula, and the tail
+budgets against an exact one.
 """
 
 import itertools
@@ -28,6 +29,8 @@ from shotdp import (
     BudgetInputs,
     UnattainableError,
     dominance_audit,
+    epsilon_delta_depolarizing,
+    epsilon_delta_noiseless,
     epsilon_depolarizing,
     epsilon_noiseless,
     exact_epsilon,
@@ -230,6 +233,75 @@ def test_pure_budgets_match_mpmath(regime, d, r, n, mu, p, dim):
         return
     want, scale = mp_pure_budget(regime, d, r, n, mu, p, dim)
     assert abs(report.epsilon - want) <= 1e-14 * scale, (report.epsilon, want, scale)
+
+
+def exact_tail_budget(regime, d, r, n, mu, p, dim, c):
+    """The (epsilon, delta) budget of the float inputs at cutoff c, exactly,
+    as a fraction; its error scale S = scale (|lead c^2 / (2 mu (1 - mu -
+    u))| + c + u/2), the sum of the bracket's terms' magnitudes times the
+    scale; and the pole factor 1 - mu - u. The budget and S are None at the
+    pole. Fractions, not 50-digit mpmath: at 50 digits, 1 - mu - u loses mu
+    below 1e-50."""
+    d, mu, c = Fraction(d), Fraction(mu), Fraction(c)
+    if regime == "noiseless":
+        u = n * d * r
+        scale = u / (mu * (1 - mu))
+    else:
+        a = (1 - Fraction(p)) / Fraction(p) * d * r * dim
+        scale, u = a / (1 - mu), n * a
+    denom = 1 - mu - u
+    if denom == 0:
+        return None, None, denom
+    terms = ((1 - 2 * mu - u) * c * c / (2 * mu * denom), c, u / 2)
+    return scale * sum(terms), scale * sum(map(abs, terms)), denom
+
+
+@st.composite
+def tail_points(draw):
+    """Inputs of a tail budget at a drawn relative distance from the pole
+    1 - mu - u = 0, or from the lead factor's zero 1 - 2 mu - u = 0: log-
+    uniform from 1e-15 to 0.5, or far, from 0.5 to 2, on either side. d is
+    solved for that distance and then rounded, so the distance is met to
+    within rounding; a d past 1 is taken as 1, a far draw. mu is drawn
+    from 1e-100: near the smallest normal double, lead c^2 and 2 mu (1 - mu
+    - u) can round to subnormals, which carry fewer digits."""
+    regime = draw(st.sampled_from(["noiseless", "depolarizing"]))
+    mu = draw(st.floats(min_value=1e-100, max_value=0.99))
+    n, r, dim = draw(st.integers(1, 10**6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    p = draw(st.floats(min_value=sys.float_info.min, max_value=1.0)) if regime == "depolarizing" else None
+    zero = 1 - mu if draw(st.sampled_from(["pole", "lead"])) == "pole" else 1 - 2 * mu
+    gap = draw(st.one_of(st.floats(-15.0, math.log10(0.5)).map(lambda e: 10.0**e), st.floats(0.5, 2.0)))
+    u = max(zero * (1 + draw(st.sampled_from([-1, 1])) * gap), 0.0)
+    per_d = n * r * ((1 - p) / p * dim if regime == "depolarizing" else 1)
+    d = min(u / per_d, 1.0) if per_d > 0 else 1.0
+    convention = draw(st.sampled_from(["paper", "normalized"]))
+    if draw(st.booleans()):
+        return regime, BudgetInputs(d, r, n, mu, p, dim if p else None, c=draw(st.floats(1e-8, 1e4))), convention
+    supremum = math.sqrt(2 * math.pi * mu * (1 - mu) / n) if convention == "paper" else 1.0
+    delta = draw(st.floats(1e-12, 0.99)) * supremum
+    return regime, BudgetInputs(d, r, n, mu, p, dim if p else None, delta=delta), convention
+
+
+@given(tail_points())
+# 1e-12 of the pole, where a float pole factor 1 - mu - u loses about 1e-4 of epsilon.
+@example(("noiseless", BudgetInputs(0.085 * (1 - 1e-12), 1, 10, 0.15, c=0.05), "paper"))
+@example(("depolarizing", BudgetInputs(0.0425 * (1 + 1e-12), 1, 10, 0.15, 0.5, 2, delta=0.01), "paper"))
+# mu = 1e-4, 1e-8 of the pole, where the lead factor 1 - 2 mu - u cancels to about -mu.
+@example(("noiseless", BudgetInputs(0.09999 * (1 - 1e-8), 1, 10, 1e-4, c=1.0), "normalized"))
+def test_tail_budgets_match_the_exact_formula(point):
+    """Every finite epsilon, flagged or not, is within 5e-14 S of its formula
+    evaluated exactly on the same float inputs, at the c that the
+    kernel returns, with RegimeInvalid flagged exactly when 1 - mu - u <= 0;
+    a non-finite epsilon is flagged Divergent."""
+    regime, inp, convention = point
+    report = (epsilon_delta_noiseless if regime == "noiseless" else epsilon_delta_depolarizing)(inp, convention)
+    if not math.isfinite(report.epsilon):
+        assert "Divergent" in report.warnings
+        return
+    d, r, n, mu, p, dim, c, _ = report.inputs
+    want, scale, denom = exact_tail_budget(regime, d, r, n, mu, p, dim, c)
+    assert ("RegimeInvalid" in report.warnings) == (denom <= 0), (report, float(denom))
+    assert abs(Fraction(report.epsilon) - want) <= Fraction(5e-14) * scale, (report.epsilon, float(want), float(scale))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
