@@ -10,10 +10,13 @@ Four budgets are provided, indexed by noise regime and accounting style:
 Each accounting style is one scalar kernel on checked numbers: `_pure` and
 `_tail` take the regime, the fields d, r, n, mu, p, D, c, delta and the
 convention, and return (epsilon, delta, c, flags), with flags `()` when
-none applies. The pure budget is written once, in `_pure_at`, which takes
-its scale and quadratic coefficients and n; neither coefficient depends on
-n, and `_pure` computes them (`_pure_coefficients`) and then calls
-`_pure_at`. Each field has one validator in `errors`, and
+none applies. Each kernel is two parts: the coefficients, which its sweep
+axis does not change (`_pure_coefficients` for n; `_tail_coefficients`
+for c and delta), and a per-point formula that returns a float
+(`_pure_epsilon`, `_tail_epsilon`), the only place its bracket is
+written. `_flags` adds the flags that depend on the point, and
+`_flag_column` applies them to a block of points at once. Each field has
+one validator in `errors`, and
 `BudgetInputs` is the one place that checks a bundle's fields with them,
 in field order, when it is built. Each field admits one interval of
 values, so a CLI sweep, whose grid points rise, checks its whole axis as
@@ -22,9 +25,9 @@ point. The public functions take a checked bundle, add the checks that
 depend on the budget (`_arguments`), call a kernel on the bundle's values
 and return a `PrivacyReport` with warning flags for regimes where a
 formula is outside its comfort zone; `shots_for_budget` computes the
-coefficients once and calls `_pure_at` per candidate shot count, and
-sweeps map a kernel over their axis (a pure n-sweep maps `_pure_at`, with
-the coefficients computed once per sweep).
+coefficients once and calls `_pure_epsilon` per candidate shot count, and
+a sweep along n (pure), c or delta (tail) does the same per point, while
+a sweep along any other axis maps the whole kernel.
 Both records are standard-library named tuples. `mu` is always the smaller of the two
 outcome means.
 The tail cutoff `c` and the tail mass `delta` are interchangeable through
@@ -38,6 +41,8 @@ import math
 import sys
 import warnings as _warnings
 from collections import namedtuple
+from functools import partial
+from itertools import repeat
 
 try:
     from _statistics import _normal_dist_inv_cdf
@@ -156,13 +161,21 @@ def depolarizing_constant(p: float, d: float, r: int, dim: int) -> float:
     """Scale ((1-p)/p) d r dim entering the depolarizing budgets.
 
     Grows without bound as p -> 0+, so p = 0 is rejected as ZeroNoise.
+    While every intermediate result is a normal double, the value is
+    within 1e-15 relative of the product evaluated exactly on the same
+    inputs: it rounds at most seven times, r and dim on their way to
+    doubles included.
     """
     return _depolarizing_scale(check_noise(p), check_distance(d), check_count(r, "rank r"), check_count(dim, "dimension D"))
 
 
 def expectation_ratio_bound(mu1: float, d: float, p: float, dim: int) -> float:
     """Largest mean mu1 (1 + ((1-p)/p) d dim) reachable from a state with
-    mean mu1 by moving trace distance d under depolarizing noise p."""
+    mean mu1 by moving trace distance d under depolarizing noise p.
+
+    While every intermediate result is a normal double, the value is
+    within 1e-15 relative of that expression evaluated exactly on the same
+    inputs (at most seven roundings)."""
     return check_mean(mu1, "mean mu1") * (1.0 + depolarizing_constant(p, d, 1, dim))
 
 
@@ -225,56 +238,36 @@ def c_from_delta(delta: float, mu: float, n: int, convention: str = "paper") -> 
     return _cutoff(delta, _sigma(check_mean(mu), check_count(n, "shots n")), check_convention(convention))
 
 
-def _pure_coefficients(regime: str, d: float, r: int, mu: float, p, dim) -> tuple[float, float]:
-    """Scale and quadratic coefficient of the pure budget; neither depends
-    on n, and both are nonnegative."""
+def _pure_coefficients(regime: str, d: float, r: int, mu: float, p, dim) -> tuple:
+    """The part of the pure budget that n does not change: its scale and
+    quadratic coefficient, both nonnegative, and its flags before
+    Divergent (RegimeNegativeTerm for mu > 1/2, where the bracket's first
+    term is negative)."""
+    flags = ("RegimeNegativeTerm",) if mu > 0.5 else ()
     if regime == "noiseless":
         dr = d * r
-        return dr / ((1.0 - mu) * mu), dr * (mu + dr)
+        return dr / ((1.0 - mu) * mu), dr * (mu + dr), flags
     a = _depolarizing_scale(p, d, r, dim)
-    return a / (1.0 - mu), a * mu * mu * (1.0 + a)
+    return a / (1.0 - mu), a * mu * mu * (1.0 + a), flags
 
 
-def _pure_at(scale: float, quadratic: float, mu: float, n: int, c=None) -> tuple:
+def _pure_epsilon(scale: float, quadratic: float, mu: float, n: int) -> float:
     """The pure budget at n from its coefficients: scale [ (9/2)(1-2mu) +
-    (3/2) sqrt(n) + quadratic n / (1-mu) ], flagged RegimeNegativeTerm for
-    mu > 1/2; c passes through."""
-    eps = scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(n) + quadratic * n / (1.0 - mu))
-    flags = ("RegimeNegativeTerm",) if mu > 0.5 else ()
-    # Divergent marks any epsilon a caller must not trust as a budget.
-    return eps, 0.0, c, flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
+    (3/2) sqrt(n) + quadratic n / (1-mu) ]."""
+    return scale * (4.5 * (1.0 - 2.0 * mu) + 1.5 * math.sqrt(n) + quadratic * n / (1.0 - mu))
 
 
-def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tuple:
-    """Pure budget kernel: `_pure_coefficients`, then `_pure_at` at n.
-
-    Takes the same arguments as `_tail`, so that a caller can hold either;
-    delta and paper are unused and c passes through.
-    """
-    return _pure_at(*_pure_coefficients(regime, d, r, mu, p, D), mu, n, c)
-
-
-def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
-    """(epsilon, delta) budget kernel: scale [ (1 - 2mu - u) c^2 / (2 mu (1 - mu - u)) + c + u/2 ].
+def _tail_coefficients(regime: str, d, r, n, mu, p, D) -> tuple:
+    """The part of the (epsilon, delta) budget that c and delta do not
+    change: (sigma, scale, u, lead, denom, flags), with lead = 1 - 2mu - u,
+    denom = 1 - mu - u and flags (RegimeInvalid) when denom <= 0.
 
     Noiseless, u = n d r and scale = u / (mu (1-mu)); under depolarizing
-    noise, u = n a and scale = a / (1-mu). Exactly one of c and delta is
-    given, and the other is derived through the Gaussian tail formula.
-
-    Within 2^-6 (1-mu) of the pole 1 - mu - u = 0 or of the lead factor's
-    zero 1 - 2mu - u = 0, where their float subtractions cancel, both
-    factors are formed from the exact rationals of the float inputs, so
-    RegimeInvalid reads the exact sign of the pole factor. For mu from
-    1e-100, every finite epsilon is within 5e-14 S of the formula evaluated
-    exactly on the same float inputs at the returned c, where S is the
-    scale times the sum of the bracket terms' magnitudes (2.7e-14 S was the
-    worst measured, just outside that window).
+    noise, u = n a and scale = a / (1-mu). Within 2^-6 (1-mu) of the pole
+    denom = 0 or of the lead factor's zero, where their float subtractions
+    cancel, both factors are formed from the exact rationals of the float
+    inputs, so RegimeInvalid reads the exact sign of the pole factor.
     """
-    sigma = _sigma(mu, n)
-    if c is None:
-        c = _cutoff(delta, sigma, paper)
-    else:
-        delta = _tail_mass(c, sigma, paper)
     rest = 1.0 - mu
     if regime == "noiseless":
         u = n * d * r
@@ -282,7 +275,6 @@ def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
     else:
         a = _depolarizing_scale(p, d, r, D)
         scale, u = a / rest, n * a
-    flags = ("DeltaExceedsOne",) if delta > 1.0 else ("DeltaUnderflow",) if delta == 0.0 else ()
     lead, denom = 1.0 - 2.0 * mu - u, rest - u
     near = 0.015625 * rest
     # denom >= lead, so lead >= near clears both windows in one compare.
@@ -297,13 +289,68 @@ def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
             unit, u_top = m2 * p1 * d2, n * (p2 - p1) * d1 * r * D * m2
         mu_top = m1 * (unit // m2)
         lead, denom = (unit - 2 * mu_top - u_top) / unit, (unit - mu_top - u_top) / unit
-    if denom <= 0.0:
-        flags += ("RegimeInvalid",)
+    return _sigma(mu, n), scale, u, lead, denom, ("RegimeInvalid",) if denom <= 0.0 else ()
+
+
+def _tail_epsilon(scale: float, u: float, lead: float, denom: float, mu: float, c: float) -> float:
+    """The (epsilon, delta) budget at cutoff c from its coefficients:
+    scale [ lead c^2 / (2 mu denom) + c + u/2 ]; at the pole, -inf (0 at a
+    zero scale)."""
     if denom == 0.0:
-        eps = float("-inf") if scale > 0.0 else 0.0
+        return -math.inf if scale > 0.0 else 0.0
+    return scale * (lead * c * c / (2.0 * mu * denom) + c + u / 2.0)
+
+
+def _flags(flags: tuple, eps: float, delta=None) -> tuple:
+    """One point's flags, in the kernels' order: DeltaExceedsOne or
+    DeltaUnderflow from a tail budget's delta, then `flags`, then Divergent
+    when eps is not a finite, nonnegative budget."""
+    if delta is not None and (delta > 1.0 or delta == 0.0):
+        flags = ("DeltaExceedsOne" if delta > 1.0 else "DeltaUnderflow", *flags)
+    # Divergent marks any epsilon a caller must not trust as a budget.
+    return flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
+
+
+def _flag_column(flags: tuple, epsilons: list, deltas=None):
+    """`_flags` over a block of points that share `flags`: `repeat(flags)`
+    when no point fires a rule, else each point's flags. A sum is finite
+    only when every term is, so one test clears inf and nan; a sum that
+    overflows sends the block point by point, which is slower, not wrong."""
+    if 0.0 <= min(epsilons) and math.isfinite(sum(epsilons)) and (deltas is None or 0.0 < min(deltas) <= max(deltas) <= 1.0):
+        return repeat(flags, len(epsilons))
+    return list(map(_flags, repeat(flags), epsilons, repeat(None) if deltas is None else deltas))
+
+
+def _pure(regime: str, d, r, n, mu, p, D, c=None, delta=None, paper=True) -> tuple:
+    """Pure budget kernel: `_pure_coefficients`, then `_pure_epsilon` at n;
+    returns (epsilon, 0.0, c, flags).
+
+    Takes the same arguments as `_tail`, so that a caller can hold either;
+    delta and paper are unused and c passes through.
+    """
+    scale, quadratic, flags = _pure_coefficients(regime, d, r, mu, p, D)
+    eps = _pure_epsilon(scale, quadratic, mu, n)
+    return eps, 0.0, c, _flags(flags, eps)
+
+
+def _tail(regime: str, d, r, n, mu, p, D, c, delta, paper=True) -> tuple:
+    """(epsilon, delta) budget kernel: `_tail_coefficients`, the cutoff or
+    the tail mass, then `_tail_epsilon` at c; returns (epsilon, delta, c,
+    flags). Exactly one of c and delta is given, and the other is derived
+    through the Gaussian tail formula.
+
+    For mu from 1e-100, every finite epsilon is within 5e-14 S of the
+    formula evaluated exactly on the same float inputs at the returned c,
+    where S is the scale times the sum of the bracket terms' magnitudes
+    (2.7e-14 S was the worst measured, just outside the exact window).
+    """
+    sigma, scale, u, lead, denom, flags = _tail_coefficients(regime, d, r, n, mu, p, D)
+    if c is None:
+        c = _cutoff(delta, sigma, paper)
     else:
-        eps = scale * (lead * c * c / (2.0 * mu * denom) + c + u / 2.0)
-    return eps, delta, c, flags if 0.0 <= eps < math.inf else (*flags, "Divergent")
+        delta = _tail_mass(c, sigma, paper)
+    eps = _tail_epsilon(scale, u, lead, denom, mu, c)
+    return eps, delta, c, _flags(flags, eps, delta)
 
 
 def _arguments(kernel, regime: str, inp: BudgetInputs, convention: str = "paper") -> list:
@@ -426,12 +473,10 @@ def shots_for_budget(target_epsilon: float, inp: BudgetInputs, regime: str = "no
     if not 0.0 < target_epsilon < math.inf:
         raise OutOfRangeError(f"OutOfRange: target epsilon {target_epsilon} must be positive and finite")
     d, r, _, mu, p, dim = _arguments(_pure, regime, inp)[:6]
-    scale, quadratic = _pure_coefficients(regime, d, r, mu, p, dim)
+    scale, quadratic, _ = _pure_coefficients(regime, d, r, mu, p, dim)
     if scale == 0.0:
         raise BadConfigError("BadConfig: epsilon is identically zero, every shot count fits the budget")
-
-    def evaluate(n: int) -> float:
-        return _pure_at(scale, quadratic, mu, n)[0]
+    evaluate = partial(_pure_epsilon, scale, quadratic, mu)
 
     if evaluate(1) > target_epsilon:
         raise UnattainableError(f"Unattainable: epsilon({1}) = {evaluate(1):.6g} already exceeds {target_epsilon}")

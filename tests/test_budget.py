@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from shotdp import (
@@ -166,6 +166,22 @@ class TestPureDepolarizing:
     def test_ratio_bound_reference(self):
         """mu0 may exceed mu1 by at most the factor 1 + (1-p)/p * d * D."""
         assert expectation_ratio_bound(0.15, 0.1, 0.5, 2) == pytest.approx(0.15 * 1.2, abs=1e-15)
+
+    @given(st.floats(1e-100, 1.0), st.just(0.0) | st.floats(1e-100, 1.0), st.integers(1, 2**63), st.integers(1, 2**63))
+    @example(0.1, 0.3, 2**53 + 1, 3)  # r rounds on its way to a double
+    def test_constant_matches_fractions(self, p, d, r, dim):
+        """Within the docstring's 1e-15 relative of ((1-p)/p) d r dim in
+        exact rationals of the same inputs."""
+        want = (1 - Fraction(p)) / Fraction(p) * Fraction(d) * r * dim
+        assert abs(Fraction(depolarizing_constant(p, d, r, dim)) - want) <= Fraction(1e-15) * want
+
+    @given(st.floats(1e-300, 1.0, exclude_max=True), st.just(0.0) | st.floats(1e-100, 1.0), st.floats(1e-100, 1.0),
+           st.integers(1, 2**63))
+    def test_ratio_bound_matches_fractions(self, mu1, d, p, dim):
+        """Within the docstring's 1e-15 relative of mu1 (1 + ((1-p)/p) d dim)
+        in exact rationals of the same inputs."""
+        want = Fraction(mu1) * (1 + (1 - Fraction(p)) / Fraction(p) * Fraction(d) * dim)
+        assert abs(Fraction(expectation_ratio_bound(mu1, d, p, dim)) - want) <= Fraction(1e-15) * want
 
 
 class TestTailConversions:
@@ -436,6 +452,25 @@ class TestShotsForBudget:
         assert epsilon_noiseless(BudgetInputs(d=d, r=r, n=n, mu=mu)).epsilon <= target
         following = int(math.nextafter(float(n), math.inf))
         assert epsilon_noiseless(BudgetInputs(d=d, r=r, n=following, mu=mu)).epsilon > target
+
+    @given(st.sampled_from(["noiseless", "depolarizing"]), st.floats(1e-6, 1.0), st.integers(1, 10),
+           st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.integers(1, 8), st.floats(0.0, 60.0), st.floats(1.0, 1.001))
+    @example("noiseless", 0.1, 1, 0.15, 0.5, 2, 20.0, 1.0)  # an answer past 2**53, hit exactly
+    @example("depolarizing", 0.01, 3, 0.7, 0.3, 4, 45.0, 1.0005)  # mu > 1/2, past 2**53
+    def test_answer_is_the_last_count_within_the_target(self, regime, d, r, mu, p, dim, exponent, above):
+        """Through the public budget: epsilon(n) <= target < epsilon(next), where next is n + 1
+        below 2**53 and past it the next double, as n is itself a double there."""
+        budget_at = epsilon_noiseless if regime == "noiseless" else epsilon_depolarizing
+        noise = {"p": p, "D": dim} if regime == "depolarizing" else {}
+
+        def epsilon(n):
+            return budget_at(BudgetInputs(d=d, r=r, n=n, mu=mu, **noise)).epsilon
+
+        target = epsilon(int(10.0**exponent)) * above
+        assume(target > 0.0)
+        n = shots_for_budget(target, BudgetInputs(d=d, r=r, n=1, mu=mu, **noise), regime)
+        assert float(n) == n
+        assert epsilon(n) <= target < epsilon(n + max(int(math.ulp(n)), 1))
 
 
 class TestBudgetInputsValidation:

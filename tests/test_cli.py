@@ -376,6 +376,9 @@ _BUDGETS = {
     ("noiseless", True): epsilon_delta_noiseless, ("depolarizing", True): epsilon_delta_depolarizing,
 }
 _TAIL_PARAMS = {"d": 0.01, "r": 1, "n": 10, "mu": 0.15}
+_DEPOLARIZING = {"regime": "depolarizing", "p": 0.5, "D": 2}
+# n d r = 0.85 = 1 - mu in decimal; the exact factors put the pole 1.2e-17 below zero.
+_POLE_PARAMS = {"d": 0.001, "r": 1, "n": 850, "mu": 0.15}
 # axis, fixed parameters, the first and last axis values: every axis; a constant -0.0 epsilon column (d = -0
 # at mu < 1/2), and one that mixes 0.0 and -0.0 (d = -0 at n = 1, where the bracket turns negative past
 # mu = 2/3). The flags change mid-table on the c axis (DeltaUnderflow), the mu axis (RegimeNegativeTerm) and
@@ -384,6 +387,11 @@ _TAIL_PARAMS = {"d": 0.01, "r": 1, "n": 10, "mu": 0.15}
 _NEGATIVE_ZERO_CASE = ("n", {"d": -0.0, "r": 1, "mu": 0.15}, None)
 _MIXED_ZEROS_CASE = ("mu", {"d": -0.0, "r": 1, "n": 1}, (0.05, 0.95))
 _NEGATIVE_EPSILON_CASE = ("n", {"d": 1e-3, "r": 1, "mu": 0.95}, None)
+_DELTA_PASSES_ONE_CASE = ("delta", {"d": 0.01, "r": 1, "n": 1, "mu": 0.5, "convention": "paper"}, (1e-4, 1.25))
+_POLE_CASES = [("c", _POLE_PARAMS, (1e-3, 0.4)), ("delta", _POLE_PARAMS, (1e-4, 0.03))]
+# Epsilon overflows to inf near n = 1.694e307 (Divergent). The ends are multiples of 2^980 a multiple of 4094,
+# 4095, 4096 and 8192 steps apart, so that every grid of those sizes between them has exactly its number of points.
+_OVERFLOW_CASE = ("n", {"d": 1.0, "r": 1, "mu": 0.15}, (math.ldexp(1565756531257, 980), math.ldexp(1703094837817, 980)))
 _BLOCK_CASES = [
     ("n", {"d": 0.01, "r": 1, "mu": 0.15}, None),
     _NEGATIVE_ZERO_CASE,
@@ -394,6 +402,15 @@ _BLOCK_CASES = [
     ("delta", _TAIL_PARAMS, (1e-4, 0.28)),
     ("d", {"r": 1, "n": 10, "mu": 0.15}, (0.0, 1.0)),
     _MIXED_ZEROS_CASE,
+    # The c and delta sweeps that take the tail coefficients once: under depolarizing noise in both conventions;
+    # at n = 1 and mu = 1/2, where sigma = 1/2 and the paper convention's delta passes 1 (DeltaExceedsOne) on the
+    # way to its supremum, 1.2533; and at the pole point, where RegimeInvalid reads the exact factors' sign.
+    *(("c", {**_TAIL_PARAMS, **_DEPOLARIZING, "convention": convention}, (0.01, 5.0)) for convention in ("paper", "normalized")),
+    ("delta", {**_TAIL_PARAMS, **_DEPOLARIZING, "convention": "paper"}, (1e-4, 0.28)),
+    ("delta", {**_TAIL_PARAMS, **_DEPOLARIZING, "convention": "normalized"}, (1e-4, 0.99)),
+    _DELTA_PASSES_ONE_CASE,
+    *_POLE_CASES,
+    _OVERFLOW_CASE,
 ]
 
 
@@ -411,10 +428,11 @@ def _reference_sweep(axis, fixed, values, fmt):
     JSON the standard library's encoder on the row dicts, the kernel's delta last."""
     regime = fixed.get("regime", "noiseless")
     budget = _BUDGETS[regime, axis in ("c", "delta") or "c" in fixed or "delta" in fixed]
-    fields = {k: v for k, v in fixed.items() if k != "regime"}
+    fields = {k: v for k, v in fixed.items() if k not in ("regime", "convention")}
+    convention = {"convention": fixed["convention"]} if "convention" in fixed else {}
     rows = []
     for v in values:
-        report = budget(BudgetInputs(**fields, **{axis: v}))
+        report = budget(BudgetInputs(**fields, **{axis: v}), **convention)
         rows.append((v, report.epsilon, report.delta, report.warnings))
     if fmt == "json":
         return reference_json_text([{axis: v, "epsilon": eps, "delta": delta, "warnings": flags}
@@ -451,6 +469,16 @@ class TestSweepBlocks:
         rows = rows_of(_reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, _BLOCK + 1), True), "csv"))[1]
         assert [row[3] for row in rows[:7]] == ["RegimeNegativeTerm;Divergent"] * 6 + ["RegimeNegativeTerm"]
         assert {row[3] for row in rows[6:]} == {"RegimeNegativeTerm"}
+
+    def test_rules_fire_where_the_cases_claim(self):
+        """The reference itself: on 2 `_BLOCK` + 1 points, delta first passes 1, and epsilon first
+        overflows, inside the second block; at the pole point every row is RegimeInvalid alone."""
+        for (axis, fixed, ends), flag in ((_DELTA_PASSES_ONE_CASE, "DeltaExceedsOne"), (_OVERFLOW_CASE, "Divergent")):
+            text = _reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, 2 * _BLOCK + 1), axis == "n"), "csv")
+            assert _BLOCK < [row[3] for row in rows_of(text)[1]].index(flag) < 2 * _BLOCK
+        for axis, fixed, ends in _POLE_CASES:
+            text = _reference_sweep(axis, fixed, _grid_values(*_block_grid(ends, _BLOCK + 1), False), "csv")
+            assert {row[3] for row in rows_of(text)[1]} == {"RegimeInvalid"}
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_failure_in_a_later_block_writes_nothing(self, fmt, tmp_path, capsys):
